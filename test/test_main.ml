@@ -23,4 +23,5 @@ let () =
       ("backend", Test_backend.suite);
       ("fleet", Test_fleet.suite);
       ("hybrid", Test_hybrid.suite);
+      ("paths", Test_paths.suite);
     ]
