@@ -26,6 +26,12 @@
                               wearlevel + fleet + hybrid, the last
                               three to their own sink files)
      main.exe speedup         wall-clock of the quick grid, -j 1 vs -j max
+     main.exe pause-slo IN OUT
+                              the fleet figure's pause-SLO gate over the
+                              sink records IN (results-fleet.jsonl):
+                              writes the pause-histogram artifact OUT,
+                              exits 1 when the incremental row's worst
+                              stall breaks Fleet_figure.pause_slo_ms
      main.exe micro           Bechamel microbenchmarks (one per
                               operation family underlying the figures) *)
 
@@ -218,6 +224,21 @@ let run_quick_grid ~params ~out =
   print_to_own_sink "fleet" (fun () -> Holes_exp.Fleet_figure.table ~params ());
   print_to_own_sink "hybrid" (fun () -> Holes_exp.Hybrid_figure.table ~params ())
 
+(* `pause-slo`: the CI gate on the fleet figure's incremental row, with
+   its threshold read from Fleet_figure so the gate, the figure and the
+   test suite share one SLO. *)
+let run_pause_slo ~(records : string) ~(artifact : string) =
+  let ic = open_in records in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let json, verdict = Holes_exp.Fleet_figure.pause_slo_gate lines in
+  Out_channel.with_open_text artifact (fun oc -> output_string oc json);
+  match verdict with
+  | Ok summary -> print_endline summary
+  | Error e ->
+      prerr_endline ("pause-SLO gate: " ^ e);
+      exit 1
+
 (* `speedup`: measure the parallelism win instead of asserting it — the
    same reduced grid, wall-clocked at -j 1 and -j max from a cold memo
    cache each time. *)
@@ -303,4 +324,5 @@ let () =
       | [ "micro" ] -> run_micro ()
       | [ "figures-quick" ] -> run_quick_grid ~params:(quick_grid_params ~jobs) ~out
       | [ "speedup" ] -> run_speedup ()
+      | [ "pause-slo"; records; artifact ] -> run_pause_slo ~records ~artifact
       | names -> List.iter print_one names)

@@ -15,9 +15,12 @@
     affected blocks are flagged and their live objects evacuated by a
     full collection.
 
-    The heap-layout and fast-path design — the dense block table, the
-    struct-of-arrays block metadata, the bump cursors, and the flat
-    batched mark deque below — is documented in DESIGN.md §13.  The
+    Every full collection is one snapshot-at-the-beginning cycle (mark,
+    sweep, defrag): stop-the-world runs it whole inside one recorded
+    pause, the incremental regime cuts it into budgeted slices (DESIGN.md
+    §15).  The heap-layout and fast-path design — the dense block table,
+    the struct-of-arrays block metadata, the bump cursors, and the flat
+    snapshot work-list below — is documented in DESIGN.md §13.  The
     record is exposed for the heap verifier and the adversarial failure
     models, which inspect cursors and blocks directly. *)
 
@@ -53,9 +56,8 @@ type t = {
           to back through [recyclable_pos] *)
   mutable recyclable_pos : int;
   mark_queue : Intvec.t;
-      (** the flat mark deque: slot ids are enqueued in ascending-id
-          order and drained in fixed-size batches, so the trace loop
-          runs over a dense int array *)
+      (** the snapshot work-list: every slot id, enqueued in ascending-id
+          order, so marking runs over a dense int array *)
   mutable cur_block : int;  (** main bump cursor's block; -1 = none *)
   mutable cursor : int;
   mutable limit : int;
@@ -70,14 +72,13 @@ type t = {
           demand: set by allocation failures and dynamic failures) *)
   mutable post_gc_check : unit -> unit;
       (** paranoid-verifier hook, run at the end of every collection *)
-  (* incremental (snapshot-at-the-beginning) collection state.  A cycle
-     is the same full collection as the stop-the-world one — same mark
-     charges, same sweep passes, same evacuation — cut into budgeted
-     slices driven from the allocation path.  [mark_queue] doubles as
-     the persistent snapshot work-list: entries are slot ids,
-     sign-encoded with liveness at snapshot time (id = live,
-     [lnot id] = dead).  Exposed for the heap verifier's SATB checks
-     and the torture driver. *)
+  (* collection-cycle (snapshot-at-the-beginning) state.  Every full
+     collection is one cycle: run whole inside one pause under
+     stop-the-world, or cut into budgeted slices driven from the
+     allocation path.  [mark_queue] is the persistent snapshot
+     work-list: entries are slot ids, sign-encoded with liveness at
+     snapshot time (id = live, [lnot id] = dead).  Exposed for the heap
+     verifier's SATB checks and the torture driver. *)
   mutable gc_slice : int;
       (** work budget per slice in mark-queue entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
@@ -86,6 +87,12 @@ type t = {
           while marking is in progress and the source is already black;
           drained (and charged like remset entries) at mark end *)
   mutable inc_phase : int;  (** 0 idle / 1 mark / 2 sweep / 3 defrag *)
+  mutable whole : bool;
+      (** the cycle in flight runs whole, inside one stop-the-world
+          pause: phases take unbounded budgets, the cycle opens with the
+          bump cursors reset, its mark rebuilds each block's object
+          list, and a flagged block empty at mark end is dissolved
+          rather than evacuated *)
   mutable inc_pos : int;
       (** resume cursor: next [mark_queue] entry (mark phase) or next
           block-table index (sweep phase) *)
@@ -150,18 +157,20 @@ val write_barrier : t -> src:int -> unit
     a nursery object. *)
 
 val collect : t -> full:bool -> unit
-(** Force a collection (used by the VM's LOS retry path).  Under the
-    incremental regime ([gc_slice > 0]) a full collection drives the
-    cycle to completion in bounded, individually recorded slices. *)
+(** Force a collection (used by the VM's LOS retry path).  A full
+    collection is one cycle: under stop-the-world it runs whole inside
+    one recorded pause; under the incremental regime ([gc_slice > 0])
+    it drives the cycle to completion in bounded, individually recorded
+    slices (a nursery request while a cycle is active does the same). *)
 
 (** {2 Incremental collection}
 
-    With [Config.gc_slice > 0] full collections run as
-    snapshot-at-the-beginning increments: each allocation advances the
-    active cycle by at most the budget's worth of marking work
-    (sweeping and evacuation are budgeted proportionally), so the
-    recorded pause is per-slice rather than per-cycle.  Total GC work
-    is unchanged — only its interleaving with the mutator. *)
+    With [Config.gc_slice > 0] the full-collection cycle runs in
+    increments: each allocation advances the active cycle by at most
+    the budget's worth of marking work (sweeping and evacuation are
+    budgeted proportionally), so the recorded pause is per-slice rather
+    than per-cycle.  The work is the stop-the-world cycle's; DESIGN.md
+    §15 states exactly where the two regimes' charges differ. *)
 
 val inc_idle : int
 (** [inc_phase] value: no cycle in flight. *)
@@ -186,8 +195,8 @@ val gc_increment : t -> unit
 
 val set_gc_slice : t -> int -> unit
 (** Set the incremental work budget (0 = stop-the-world).  Toggling
-    increments off mid-cycle finishes the cycle first, so the
-    stop-the-world machinery never observes a half-run cycle. *)
+    increments off mid-cycle finishes the cycle first, so a
+    stop-the-world collection never starts with a half-run cycle. *)
 
 val dynamic_failure : t -> addr:int -> unit
 (** Handle a dynamic line failure at byte address [addr] (Sec. 4.2).
@@ -195,7 +204,10 @@ val dynamic_failure : t -> addr:int -> unit
     The affected block is flagged for evacuation and a full (copying)
     collection relocates any objects that overlap the failing line; only
     then is the logical line marked failed — the failure buffer holds the
-    data in the interim, so no information is lost.  A pinned object on
+    data in the interim, so no information is lost.  Under the
+    incremental regime the retirement is deferred to the active cycle's
+    defrag phase, so a failure storm never forces a monolithic
+    evacuation pause.  A pinned object on
     the failing line cannot move: the OS instead remaps the page to a
     perfect page (Sec. 3.3.3 "Pinning support"), so the software-visible
     line never fails; we charge the page copy and a perfect-page grant.

@@ -59,9 +59,7 @@ type t = {
       (** incremental work budget per recorded slice (0 = stop-the-world).
           The free-list baseline has no mutator-interleaved marking: a
           sliced collection still runs to completion within one call, but
-          brackets its mark and sweep work into budgeted chunks so every
-          recorded pause is bounded — the honest comparison point for the
-          Immix incremental mode's pause figures. *)
+          records its work as budgeted brackets (see [full_gc]). *)
 }
 
 let block_bytes = Units.block_bytes
@@ -175,13 +173,41 @@ let addr_to_cell (t : t) (addr : int) : ms_block * int =
   let b = Hashtbl.find t.blocks (addr / block_bytes) in
   (b, (addr - b.base) / b.cell_size)
 
-(** Full mark-sweep collection. *)
+(** A full mark-sweep collection.  With [gc_slice > 0] the same work,
+    in the same order, is cut into budgeted brackets — [gc_slice] mark
+    entries, then [gc_slice / 128] swept blocks, then one closing
+    bracket — each recorded as its own pause, so every recorded pause
+    is bounded by the budget.  Nothing runs between the brackets, so the
+    end state and [Cost.gc_ns] are exactly the stop-the-world
+    collection's and the pauses sum to its pause: the honest comparison
+    point for the Immix incremental mode's pause figures. *)
 let full_gc (t : t) : unit =
   let w = weights t in
+  let m = t.metrics in
+  let sliced = t.gc_slice > 0 in
+  let budget = if sliced then t.gc_slice else max_int in
+  let per_chunk = if sliced then max 1 (t.gc_slice / 128) else max_int in
+  let record pause =
+    if sliced then m.Metrics.gc_increments <- m.Metrics.gc_increments + 1;
+    m.Metrics.pauses_ns <- pause :: m.Metrics.pauses_ns
+  in
+  (* close the open bracket as one recorded slice and open the next *)
+  let cut () =
+    if sliced then begin
+      record (Cost.end_gc t.cost);
+      Cost.begin_gc t.cost
+    end
+  in
   Cost.begin_gc t.cost;
   Cost.charge t.cost w.Cost.gc_fixed;
   (* mark *)
+  let marked = ref 0 in
   Object_table.iter_slots t.objects (fun id ->
+      if !marked = budget then begin
+        cut ();
+        marked := 0
+      end;
+      incr marked;
       if Object_table.is_alive t.objects id then begin
         let nrefs = Object_table.nrefs t.objects id in
         Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
@@ -190,8 +216,14 @@ let full_gc (t : t) : unit =
   (* sweep: rebuild free lists; release dead objects *)
   Array.iter Intvec.clear t.free_lists;
   let empties = ref [] in
+  let swept = ref per_chunk in
   Hashtbl.iter
     (fun _ b ->
+      if !swept = per_chunk then begin
+        cut ();
+        swept := 0
+      end;
+      incr swept;
       Cost.charge t.cost (w.Cost.sweep_cell *. float_of_int b.ncells);
       b.free_cells <- 0;
       for c = b.ncells - 1 downto 0 do
@@ -210,100 +242,9 @@ let full_gc (t : t) : unit =
       done;
       if b.free_cells = b.ncells then empties := b :: !empties)
     t.blocks;
-  (* release dead LOS-only objects (they occupy no cell) *)
-  Object_table.iter_slots t.objects (fun id ->
-      if (not (Object_table.is_alive t.objects id)) && Object_table.is_los t.objects id then begin
-        Los.free t.los ~addr:(Object_table.addr t.objects id);
-        Object_table.release t.objects id
-      end);
-  List.iter (dissolve_block t) !empties;
-  Intvec.clear t.nursery;
-  Remset.clear t.remset;
-  t.want_full <- false;
-  let pause = Cost.end_gc t.cost in
-  t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
-  t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns;
-  let live = Object_table.live_bytes t.objects in
-  if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
-
-(* The sliced variant of [full_gc]: identical work and charge totals,
-   but bracketed into budgeted [Cost.begin_gc]/[end_gc] chunks so every
-   recorded pause is bounded by the work budget.  The heap is untouched
-   between chunks (nothing runs in the gaps), so the end state is
-   bit-identical to [full_gc]'s — only the pause records differ. *)
-let full_gc_sliced (t : t) : unit =
-  let w = weights t in
-  let record pause =
-    t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-    t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns
-  in
-  let budget = max 1 t.gc_slice in
-  (* mark, in budgeted chunks over a scratch of the slot ids (the scratch
-     preserves [iter_slots]' ascending order, so charges are identical) *)
-  let ids = Intvec.create ~capacity:1024 () in
-  Object_table.iter_slots t.objects (fun id -> Intvec.push ids id);
-  let n = Intvec.length ids in
-  let i = ref 0 in
-  let first = ref true in
-  while !i < n || !first do
-    Cost.begin_gc t.cost;
-    if !first then begin
-      Cost.charge t.cost w.Cost.gc_fixed;
-      first := false
-    end;
-    let stop = min n (!i + budget) in
-    while !i < stop do
-      let id = Intvec.unsafe_get ids !i in
-      if Object_table.is_alive t.objects id then begin
-        let nrefs = Object_table.nrefs t.objects id in
-        Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
-        Object_table.clear_nursery_flag t.objects id
-      end;
-      incr i
-    done;
-    record (Cost.end_gc t.cost)
-  done;
-  (* sweep: rebuild free lists block by block, a budgeted number per
-     chunk (the same [Hashtbl.iter]-order block sequence, materialized
-     so it can be chunked) *)
-  Array.iter Intvec.clear t.free_lists;
-  let blocks = ref [] in
-  Hashtbl.iter (fun _ b -> blocks := b :: !blocks) t.blocks;
-  let blocks = ref (List.rev !blocks) in
-  let per_chunk = max 1 (budget / 128) in
-  let empties = ref [] in
-  while !blocks <> [] do
-    Cost.begin_gc t.cost;
-    let k = ref 0 in
-    while !k < per_chunk && !blocks <> [] do
-      (match !blocks with
-      | [] -> ()
-      | b :: rest ->
-          blocks := rest;
-          Cost.charge t.cost (w.Cost.sweep_cell *. float_of_int b.ncells);
-          b.free_cells <- 0;
-          for c = b.ncells - 1 downto 0 do
-            let id = b.cells.(c) in
-            let live = id >= 0 && Object_table.is_alive t.objects id in
-            if not live then begin
-              if id >= 0 then begin
-                if Object_table.is_los t.objects id then
-                  Los.free t.los ~addr:(Object_table.addr t.objects id);
-                Object_table.release t.objects id;
-                b.cells.(c) <- -1
-              end;
-              b.free_cells <- b.free_cells + 1;
-              Intvec.push t.free_lists.(b.klass) ((b.index lsl cell_bits) lor c)
-            end
-          done;
-          if b.free_cells = b.ncells then empties := b :: !empties);
-      incr k
-    done;
-    record (Cost.end_gc t.cost)
-  done;
-  (* finish: dead LOS-only objects, empty-block dissolution, nursery and
-     remset reset — one final chunk *)
-  Cost.begin_gc t.cost;
+  (* finish: dead LOS-only objects (they occupy no cell), empty-block
+     dissolution, nursery and remset reset *)
+  cut ();
   Object_table.iter_slots t.objects (fun id ->
       if (not (Object_table.is_alive t.objects id)) && Object_table.is_los t.objects id then begin
         Los.free t.los ~addr:(Object_table.addr t.objects id);
@@ -314,12 +255,9 @@ let full_gc_sliced (t : t) : unit =
   Remset.clear t.remset;
   t.want_full <- false;
   record (Cost.end_gc t.cost);
-  t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
+  m.Metrics.full_gcs <- m.Metrics.full_gcs + 1;
   let live = Object_table.live_bytes t.objects in
-  if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
-
-(* Dispatch on the incremental budget. *)
-let full_gc_auto (t : t) : unit = if t.gc_slice > 0 then full_gc_sliced t else full_gc t
+  if live > m.Metrics.peak_live_bytes then m.Metrics.peak_live_bytes <- live
 
 (** Set the incremental work budget (0 = stop-the-world).  The baseline
     has no cycle state to finish: the next collection simply uses the
@@ -376,7 +314,7 @@ let alloc (t : t) ~(size : int) : int * int * int =
           attempt 1
         end
         else if n <= 1 then begin
-          full_gc_auto t;
+          full_gc t;
           attempt 2
         end
         else begin
@@ -394,4 +332,4 @@ let write_barrier (t : t) ~(src : int) : unit =
   if Config.is_generational t.cfg.Config.collector && not (Object_table.is_nursery t.objects src)
   then ignore (Remset.record t.remset ~src)
 
-let collect (t : t) ~(full : bool) : unit = if full then full_gc_auto t else nursery_gc t
+let collect (t : t) ~(full : bool) : unit = if full then full_gc t else nursery_gc t

@@ -57,9 +57,9 @@ type t = {
       (** incremental work budget per recorded slice (0 = stop-the-world).
           The free-list baseline has no mutator-interleaved marking: a
           sliced collection still runs to completion within one call, but
-          brackets its mark and sweep work into budgeted chunks so every
-          recorded pause is bounded — the honest comparison point for the
-          Immix incremental mode's pause figures. *)
+          records its work as budgeted brackets so every recorded pause is
+          bounded — the honest comparison point for the Immix incremental
+          mode's pause figures. *)
 }
 
 val create :
@@ -90,8 +90,11 @@ val write_barrier : t -> src:int -> unit
 
 val collect : t -> full:bool -> unit
 (** Run a full mark-sweep collection, or a sticky nursery collection.
-    With [gc_slice > 0] the full collection records its pauses in
-    budgeted chunks (identical end state and charge totals). *)
+    The full collection is one function for both regimes: with
+    [gc_slice > 0] its bracket closes after every [gc_slice] mark
+    entries and every [gc_slice / 128] swept blocks, each bracket a
+    recorded pause.  The end state and [Cost.gc_ns] equal the
+    stop-the-world collection's exactly; the pauses sum to its pause. *)
 
 val set_gc_slice : t -> int -> unit
 (** Set the incremental work budget (0 = stop-the-world).  The baseline

@@ -38,8 +38,73 @@ let inc_budget = 256
 
 (** Pause-time SLO for the incremental row, milliseconds.  CI fails the
     figure artifact when the row's worst recorded stall exceeds this by
-    more than 15%. *)
+    more than {!pause_slo_tolerance} ({!pause_slo_gate}). *)
 let pause_slo_ms = 1.0
+
+(** The gate's slack over {!pause_slo_ms}: a worst stall up to 15% over
+    the SLO still passes. *)
+let pause_slo_tolerance = 1.15
+
+(* The raw text of field [key] in one sink record, [None] when absent.
+   Sink records are flat apart from their one [metrics] object, no key
+   repeats within a record, and config names need no escapes, so a
+   textual scan is a complete parser for them. *)
+let record_field (line : string) (key : string) : string option =
+  let pat = "\"" ^ key ^ "\":" in
+  let n = String.length line and m = String.length pat in
+  let rec find i =
+    if i + m > n then None else if String.sub line i m = pat then Some (i + m) else find (i + 1)
+  in
+  match find 0 with
+  | None -> None
+  | Some j when j < n && line.[j] = '"' ->
+      Option.map
+        (fun k -> String.sub line (j + 1) (k - j - 1))
+        (String.index_from_opt line (j + 1) '"')
+  | Some j ->
+      let rec stop k = if k >= n || line.[k] = ',' || line.[k] = '}' then k else stop (k + 1) in
+      Some (String.sub line j (stop j - j))
+
+(** The pause-SLO gate over the figure's sink records (one JSON object
+    per device shard, as {!table} streams them): the shards of the
+    incremental rows — those carrying [gc_pause_max_ms] — rendered as
+    the [pause-histogram.json] artifact, and the verdict: [Error] when
+    no incremental shard was recorded or the worst stall exceeds
+    [pause_slo_ms *. pause_slo_tolerance], otherwise a one-line summary. *)
+let pause_slo_gate (records : string list) : string * (string, string) result =
+  let field line k = Option.value (record_field line k) ~default:"null" in
+  let shards =
+    List.filter_map
+      (fun line ->
+        match Option.bind (record_field line "gc_pause_max_ms") float_of_string_opt with
+        | None -> None
+        | Some max_ms ->
+            Some
+              ( max_ms,
+                Printf.sprintf
+                  "{\"config\": \"%s\", \"seed_index\": %s, \"gc_pause_p99_ms\": %s, \"gc_pause_max_ms\": %s, \"gc_pause_count\": %s}"
+                  (field line "config") (field line "seed_index") (field line "gc_pause_p99_ms")
+                  (field line "gc_pause_max_ms") (field line "gc_pause_count") ))
+      records
+  in
+  let worst = List.fold_left (fun acc (ms, _) -> Float.max acc ms) 0.0 shards in
+  let artifact =
+    Printf.sprintf "{\"pause_slo_ms\": %g, \"worst_ms\": %g, \"shards\": [\n  %s\n]}\n"
+      pause_slo_ms worst
+      (String.concat ",\n  " (List.map snd shards))
+  in
+  let verdict =
+    if shards = [] then Error "no incremental fleet rows in the sink records"
+    else if worst > pause_slo_ms *. pause_slo_tolerance then
+      Error
+        (Printf.sprintf "worst GC pause %.3f ms exceeds the %g ms SLO by more than %.0f%%" worst
+           pause_slo_ms ((pause_slo_tolerance -. 1.0) *. 100.0))
+    else
+      Ok
+        (Printf.sprintf "%d incremental shards, worst GC pause %.3f ms (SLO %g ms)"
+           (List.length shards) worst pause_slo_ms)
+  in
+  (artifact, verdict)
 
 (** Rows: the device-pipeline policies, OS-level leveling (wear-aware
     pools) composed with an unleveled pipeline, and the unleveled

@@ -172,6 +172,17 @@ let test_eviction_preserves_invariants () =
 
 (* ---- incremental collection: gated pause reporting -------------------- *)
 
+let read_lines (path : string) : string list =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
 let test_incremental_pause_report () =
   (* stop-the-world: the pause fields stay out of the report, so the
      committed sink golden keeps its record shape *)
@@ -183,7 +194,31 @@ let test_incremental_pause_report () =
      stall respects the figure's pause-time SLO *)
   let p = aging_params () in
   let p = { p with Sim.cfg = { p.Sim.cfg with Holes.Config.gc_slice = 256 } } in
-  let r = Sim.run ~jobs:2 p in
+  let path = Filename.temp_file "holes_fleet_slo" ".jsonl" in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let sink = Sink.create ~path ~progress:false () in
+        let r = Fun.protect ~finally:(fun () -> Sink.close sink) (fun () -> Sim.run ~jobs:2 ~sink p) in
+        (* the CI pause-SLO gate passes on these records, and fails on a
+           record whose stall breaks the SLO beyond the tolerance *)
+        let records = read_lines path in
+        (match Holes_exp.Fleet_figure.pause_slo_gate records with
+        | _, Ok _ -> ()
+        | _, Error e -> Alcotest.failf "pause-SLO gate failed: %s" e);
+        let over =
+          Holes_exp.Fleet_figure.pause_slo_ms *. Holes_exp.Fleet_figure.pause_slo_tolerance *. 1.01
+        in
+        let forged = Printf.sprintf "{\"config\":\"x\",\"metrics\":{\"gc_pause_max_ms\":%g}}" over in
+        (match Holes_exp.Fleet_figure.pause_slo_gate (forged :: records) with
+        | _, Ok _ -> Alcotest.fail "pause-SLO gate passed a stall over budget"
+        | _, Error _ -> ());
+        (match Holes_exp.Fleet_figure.pause_slo_gate [] with
+        | _, Ok _ -> Alcotest.fail "pause-SLO gate passed without incremental rows"
+        | _, Error _ -> ());
+        r)
+  in
   if not r.Report.inc_active then Alcotest.fail "incremental fleet not flagged";
   if not (List.mem_assoc "gc_pause_max_ms" (Report.fields r)) then
     Alcotest.fail "incremental report missing the pause fields";
@@ -216,17 +251,6 @@ let strip_schedule (l : string) : string =
       in
       let j = nth_comma i 2 in
       String.sub l 0 i ^ String.sub l (j + 1) (String.length l - j - 1)
-
-let read_lines (path : string) : string list =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
 
 let grid_lines ~(jobs : int) : string list =
   let path = Filename.temp_file "holes_fleet_golden" ".jsonl" in

@@ -5,6 +5,9 @@ module Vm = Holes.Vm
 module Metrics = Holes.Metrics
 module OT = Holes_heap.Object_table
 module MS = Holes.Mark_sweep
+module Cost = Holes.Cost
+module Xrng = Holes_stdx.Xrng
+module Intvec = Holes_stdx.Intvec
 
 let check = Alcotest.check
 
@@ -100,6 +103,65 @@ let test_oom () =
         ignore (Vm.alloc vm ~size:128 ())
       done)
 
+(* Stop-the-world and sliced full collections are one function whose
+   brackets close only under a budget: from the same heap they must end
+   in the same state (free lists, cell map, object table), charge
+   bit-identical collector time, and the sliced pauses must sum to the
+   stop-the-world pause. *)
+let test_sliced_matches_stw () =
+  let build gc_slice =
+    let cfg = { Cfg.default with Cfg.collector = Cfg.Mark_sweep; gc_slice } in
+    let vm = Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
+    let rng = Xrng.of_seed 0x5115 in
+    let ids =
+      Array.init 3000 (fun i ->
+          let size = if i mod 500 = 0 then 20_000 else 16 + (8 * Xrng.int rng 60) in
+          Vm.alloc vm ~size ())
+    in
+    Array.iteri
+      (fun i id -> if i > 0 then Vm.write_ref vm ~src:id ~dst:ids.(Xrng.int rng i))
+      ids;
+    Array.iter (fun id -> if Xrng.int rng 10 < 6 then Vm.kill vm id) ids;
+    vm
+  in
+  let stw = build 0 and sliced = build 64 in
+  check Alcotest.int "no collection while building" 0
+    ((Vm.metrics stw).Metrics.full_gcs + (Vm.metrics sliced).Metrics.full_gcs);
+  Vm.collect stw ~full:true;
+  Vm.collect sliced ~full:true;
+  let ms vm = match vm.Vm.space with Vm.Ms s -> s | Vm.Ix _ -> Alcotest.fail "expected MS" in
+  let free_lists vm = Array.map (fun v -> List.init (Intvec.length v) (Intvec.get v)) (ms vm).MS.free_lists in
+  check Alcotest.(array (list int)) "free lists" (free_lists stw) (free_lists sliced);
+  let cells vm =
+    Hashtbl.fold (fun bi b acc -> (bi, b.MS.free_cells, Array.to_list b.MS.cells) :: acc)
+      (ms vm).MS.blocks []
+    |> List.sort compare
+  in
+  check Alcotest.(list (triple int int (list int))) "cell map" (cells stw) (cells sliced);
+  let slots vm =
+    let o = Vm.objects vm and acc = ref [] in
+    OT.iter_slots o (fun id ->
+        acc := (id, OT.addr o id, OT.size o id, OT.is_alive o id) :: !acc);
+    !acc
+  in
+  Alcotest.(check bool) "object table" true (slots stw = slots sliced);
+  check Alcotest.int64 "gc_ns bit-identical"
+    (Int64.bits_of_float (Cost.gc_ns (Vm.cost stw)))
+    (Int64.bits_of_float (Cost.gc_ns (Vm.cost sliced)));
+  let pauses vm = (Vm.metrics vm).Metrics.pauses_ns in
+  (match pauses stw with
+  | [ p ] ->
+      let n = List.length (pauses sliced) in
+      if n < 3 then Alcotest.failf "sliced collection recorded only %d pauses" n;
+      check Alcotest.int "one increment per sliced pause" n
+        (Vm.metrics sliced).Metrics.gc_increments;
+      let sum = List.fold_left ( +. ) 0.0 (pauses sliced) in
+      if Float.abs (sum -. p) > 1e-9 *. p then
+        Alcotest.failf "sliced pauses sum to %.17g ns, stop-the-world paused %.17g ns" sum p
+  | ps -> Alcotest.failf "stop-the-world recorded %d pauses" (List.length ps));
+  check Alcotest.int "stop-the-world records no increments" 0
+    (Vm.metrics stw).Metrics.gc_increments
+
 let suite =
   [
     ("size classes", `Quick, test_size_classes);
@@ -112,4 +174,5 @@ let suite =
     ("sticky MS nursery", `Quick, test_sticky_ms_nursery);
     ("sticky MS survivors become old", `Quick, test_sticky_ms_survivors);
     ("MS OOM", `Quick, test_oom);
+    ("sliced collection matches stop-the-world", `Quick, test_sliced_matches_stw);
   ]

@@ -128,17 +128,51 @@ let test_repro_command_shape () =
     "dune exec bin/torture.exe -- --seeds 7 --steps 50"
     (Torture.repro_command ~seed:7 ~steps:50)
 
-let test_torture_seeds_clean () =
-  for seed = 0 to 3 do
-    let o = Torture.run_one ~steps:200 ~seed () in
-    (match o.Torture.violation with
-    | Some v ->
-        Alcotest.failf "seed %d violated: %s (repro: %s)" seed v
-          (Torture.repro_command ~seed ~steps:200)
-    | None -> ());
-    if o.Torture.verify_passes + o.Torture.explicit_verifies = 0 then
-      Alcotest.failf "seed %d never ran the verifier" seed
-  done
+(* seeds 0..3 run the static backend; seed 7 runs the device backend
+   (start-gap leveling, migrate+caram tiering, tenant churn on a shared
+   node) *)
+let test_torture_seeds_clean (seeds : int list) () =
+  List.iter
+    (fun seed ->
+      let o = Torture.run_one ~steps:200 ~seed () in
+      (match o.Torture.violation with
+      | Some v ->
+          Alcotest.failf "seed %d violated: %s (repro: %s)" seed v
+            (Torture.repro_command ~seed ~steps:200)
+      | None -> ());
+      if o.Torture.verify_passes + o.Torture.explicit_verifies = 0 then
+        Alcotest.failf "seed %d never ran the verifier" seed)
+    seeds
+
+(* Torture's device seeds run at its default endurance and see no
+   wear-out within a test-sized schedule, so this drives the device
+   chain to wear-out directly: line retirements reach the collector
+   through the interrupt chain, synchronously under stop-the-world and
+   deferred to the cycle's defrag phase under a slice budget, with the
+   paranoid verifier run after every collection and every slice. *)
+let test_device_retirement_verifies () =
+  List.iter
+    (fun gc_slice ->
+      let d = Cfg.default_device in
+      let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 2.0 } in
+      let cfg =
+        {
+          Cfg.default with
+          Cfg.backend = Cfg.Device { d with Cfg.wear };
+          gc_slice;
+          verify = true;
+          seed = 5;
+        }
+      in
+      let profile = Holes_workload.Profile.scaled Holes_workload.Dacapo.pmd 0.07 in
+      let vm = Vm.create ~cfg ~min_heap_bytes:(Holes_workload.Profile.min_heap profile) () in
+      ignore (Holes_workload.Generator.run ~rng:(Holes_stdx.Xrng.of_seed 9) vm profile);
+      let m = Vm.metrics vm in
+      if m.Metrics.dynamic_failures < 20 then
+        Alcotest.failf "gc_slice %d: only %d wear-out retirements" gc_slice
+          m.Metrics.dynamic_failures;
+      if m.Metrics.verify_checks = 0 then Alcotest.failf "gc_slice %d: verifier never ran" gc_slice)
+    [ 0; 256 ]
 
 let suite =
   [
@@ -149,5 +183,7 @@ let suite =
     ("catches pool double-claim", `Quick, test_catches_pool_double_claim);
     ("catches accounting imbalance", `Quick, test_catches_accounting_imbalance);
     ("torture repro command", `Quick, test_repro_command_shape);
-    ("torture seeds 0..3 clean", `Quick, test_torture_seeds_clean);
+    ("torture seeds 0..3 clean", `Quick, test_torture_seeds_clean [ 0; 1; 2; 3 ]);
+    ("torture device seed 7 clean", `Quick, test_torture_seeds_clean [ 7 ]);
+    ("device wear-out retirements verify clean", `Quick, test_device_retirement_verifies);
   ]
