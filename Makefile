@@ -40,18 +40,21 @@ lint-md:
 check: build test lint-md fmt
 
 # Hot-path microbenchmarks (DESIGN.md §9, §13-14): rewrites
-# BENCH_hotpath.json, preserving its before/after baseline fields when
-# present.  Benchmarks build with --profile release: dune's dev profile
-# compiles .mli interfaces with -opaque, which blocks cross-module
-# inlining into the accessor-heavy hot paths (tests still run dev).
+# BENCH_hotpath.json (ns/op and exact minor words/op per kernel),
+# preserving its before/after baseline fields when present.  Benchmarks
+# build with --profile release, which is also the repository default
+# (dune-workspace): dune's dev profile compiles with -opaque, which
+# blocks cross-module inlining into the accessor-heavy hot paths.
 bench:
 	dune exec --profile release bench/microbench.exe -- --before BENCH_hotpath.json --out BENCH_hotpath.json
 
 # Re-measure the kernels and fail if any regressed more than 15%
-# against the committed BENCH_hotpath.json (the CI microbench gate;
-# regressed kernels are re-measured before the verdict to shed
-# scheduling noise).  Same release profile as `make bench` — the
-# committed baseline and the gate must measure the same build.
+# against the committed BENCH_hotpath.json, or if any kernel's minor
+# words per op differ from the committed count at all (the CI
+# microbench gate; time-regressed kernels are re-measured before the
+# verdict to shed scheduling noise, word counts are exact).  Same
+# release profile as `make bench` — the committed baseline and the
+# gate must measure the same build.
 bench-check:
 	dune exec --profile release bench/microbench.exe -- --check BENCH_hotpath.json --tolerance 0.15 --retry 2
 

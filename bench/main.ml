@@ -32,6 +32,11 @@
                               writes the pause-histogram artifact OUT,
                               exits 1 when the incremental row's worst
                               stall breaks Fleet_figure.pause_slo_ms
+     main.exe hybrid-gate IN  the hybrid figure's absorption gate over the
+                              sink records IN (results-hybrid.jsonl):
+                              exits 1 unless a migrate+caram cell absorbs
+                              Hybrid_figure.absorption_threshold of the
+                              charged line writes
      main.exe micro           Bechamel microbenchmarks (one per
                               operation family underlying the figures) *)
 
@@ -239,6 +244,16 @@ let run_pause_slo ~(records : string) ~(artifact : string) =
       prerr_endline ("pause-SLO gate: " ^ e);
       exit 1
 
+(* `hybrid-gate`: the CI gate on the hybrid figure's migrate+caram row,
+   threshold read from Hybrid_figure like the pause-SLO gate's. *)
+let run_hybrid_gate ~(records : string) =
+  let lines = In_channel.with_open_text records In_channel.input_all |> String.split_on_char '\n' in
+  match Holes_exp.Hybrid_figure.absorption_gate lines with
+  | Ok summary -> print_endline summary
+  | Error e ->
+      prerr_endline ("hybrid absorption gate: " ^ e);
+      exit 1
+
 (* `speedup`: measure the parallelism win instead of asserting it — the
    same reduced grid, wall-clocked at -j 1 and -j max from a cold memo
    cache each time. *)
@@ -325,4 +340,5 @@ let () =
       | [ "figures-quick" ] -> run_quick_grid ~params:(quick_grid_params ~jobs) ~out
       | [ "speedup" ] -> run_speedup ()
       | [ "pause-slo"; records; artifact ] -> run_pause_slo ~records ~artifact
+      | [ "hybrid-gate"; records ] -> run_hybrid_gate ~records
       | names -> List.iter print_one names)

@@ -29,16 +29,28 @@
                                         a markdown fragment (for CI job
                                         summaries)
 
-   All numbers are host wall-clock (best of several repetitions), unlike
-   the virtual cost-model times in the figures: this file measures the
-   simulator itself, not the simulated machine. *)
+   The ns numbers are host wall-clock (best of several repetitions),
+   unlike the virtual cost-model times in the figures: this file
+   measures the simulator itself, not the simulated machine.  Each
+   kernel also records [minor_words_per_op], the OCaml minor-heap words
+   one operation allocates ([Gc.minor_words] over the first run after
+   the warm-up).  That count does not depend on the host: it is exact
+   for a build and a compiler version, so [--check] gates it exactly —
+   any change fails, and an intended one is committed with `make
+   bench`. *)
 
 let reps = 5
 
-(* best-of-[reps] wall-clock of [f], in ns per operation *)
-let time_ns_per_op ~(iters : int) (f : unit -> unit) : float =
+type measurement = { ns : float; words : float }
+
+(* minor words per op of one run of [f] after a warm-up run, then the
+   best-of-[reps] wall-clock in ns per op *)
+let measure ~(iters : int) (f : unit -> unit) : measurement =
   f ();
   (* warmup: fill caches, trigger any lazy setup *)
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int iters in
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
@@ -46,7 +58,10 @@ let time_ns_per_op ~(iters : int) (f : unit -> unit) : float =
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt
   done;
-  !best /. float_of_int iters *. 1e9
+  { ns = !best /. float_of_int iters *. 1e9; words }
+
+(* the exact-gate comparison key of a words-per-op figure *)
+let words_key (w : float) : string = Printf.sprintf "%.12g" w
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
@@ -75,7 +90,7 @@ let hole_search_kernel () : int * (unit -> unit) =
     let blk =
       Holes_heap.Block.create ~tbl:(Holes_heap.Block.table_create ()) ~index:0 ~base:0 ~line_size
         ~pages:(Array.init Holes_heap.Units.pages_per_block Fun.id)
-        ~page_bitmap:(fun id -> bitmaps.(id))
+        ~page_bitmap:(fun id -> bitmaps.(id)) ()
     in
     let nlines = blk.Holes_heap.Block.nlines in
     for l = 0 to nlines - 1 do
@@ -294,6 +309,36 @@ let fleet_kernel () : int * (unit -> unit) =
   in
   (1, fun () -> ignore (Holes_fleet.Sim.run ~jobs:1 p))
 
+(* gen-step: the workload generator's per-object sampling — one object
+   size, one lifetime and the two uniform draws (pin and mutation coins)
+   [Generator.run] takes per allocation, over the pmd profile *)
+let gen_step_kernel () : int * (unit -> unit) =
+  let profile = Holes_workload.Dacapo.pmd in
+  let dist = Holes_workload.Generator.category_dist profile in
+  let rng = Holes_stdx.Xrng.of_seed 11 in
+  let iters = 100_000 in
+  let sink = [| 0 |] in
+  ( iters,
+    fun () ->
+      for _ = 1 to iters do
+        let size = Holes_workload.Generator.sample_size rng profile dist in
+        let life = Holes_workload.Generator.sample_lifetime rng profile in
+        let coin = Holes_stdx.Xrng.float rng < 0.5 in
+        let coin' = Holes_stdx.Xrng.float rng < 0.5 in
+        sink.(0) <- sink.(0) + size + life + Bool.to_int coin + Bool.to_int coin'
+      done )
+
+(* stats-observe: one log2-histogram observation — the update behind
+   every hole search and every device line write *)
+let stats_observe_kernel () : int * (unit -> unit) =
+  let h = Holes_obs.Stats.hist () in
+  let iters = 100_000 in
+  ( iters,
+    fun () ->
+      for i = 1 to iters do
+        Holes_obs.Stats.observe h (float_of_int (i land 1023))
+      done )
+
 let kernels : (string * (unit -> int * (unit -> unit))) list =
   [
     ("hole_search", hole_search_kernel);
@@ -305,15 +350,20 @@ let kernels : (string * (unit -> int * (unit -> unit))) list =
     ("migrate", migrate_kernel);
     ("dedup", dedup_kernel);
     ("fleet", fleet_kernel);
+    ("gen_step", gen_step_kernel);
+    ("stats_observe", stats_observe_kernel);
   ]
 
-let run_kernels () : (string * float) list =
+let run_kernel (name : string) : measurement =
+  let iters, f = (List.assoc name kernels) () in
+  measure ~iters f
+
+let run_kernels () : (string * measurement) list =
   List.map
-    (fun (name, mk) ->
-      let iters, f = mk () in
-      let ns = time_ns_per_op ~iters f in
-      Printf.printf "%-14s %12.1f ns/op\n%!" name ns;
-      (name, ns))
+    (fun (name, _) ->
+      let m = run_kernel name in
+      Printf.printf "%-14s %12.1f ns/op %12s minor words/op\n%!" name m.ns (words_key m.words);
+      (name, m))
     kernels
 
 (* the fixed reduced grid (`figures-quick`), timed cold at -j 1 *)
@@ -356,7 +406,10 @@ let find_float ~(key : string) (line : string) : float option =
       done;
       float_of_string_opt (String.trim (String.sub line start (!stop - start)))
 
-let load_snapshot (path : string) : (string * (float * float option)) list =
+(* a committed kernel entry *)
+type entry = { base_ns : float; before_ns : float option; base_words : float option }
+
+let load_snapshot (path : string) : (string * entry) list =
   let ic = open_in path in
   let entries = ref [] in
   (try
@@ -374,7 +427,15 @@ let load_snapshot (path : string) : (string * (float * float option)) list =
            in
            if has then
              match find_float ~key:"ns_per_op" line with
-             | Some ns -> entries := (name, (ns, find_float ~key:"before_ns" line)) :: !entries
+             | Some ns ->
+                 let e =
+                   {
+                     base_ns = ns;
+                     before_ns = find_float ~key:"before_ns" line;
+                     base_words = find_float ~key:"minor_words_per_op" line;
+                   }
+                 in
+                 entries := (name, e) :: !entries
              | None -> ())
          kernels
      done
@@ -383,24 +444,28 @@ let load_snapshot (path : string) : (string * (float * float option)) list =
   List.rev !entries
 
 let write_snapshot ~(path : string) ~(before : (string * float) list)
-    ~(results : (string * float) list) ~(grid_s : float option)
+    ~(results : (string * measurement) list) ~(grid_s : float option)
     ~(grid_before_s : float option) : unit =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"schema\": \"holes-microbench/1\",\n";
-  out "  \"note\": \"host wall-clock ns/op, best of %d; regenerate with `make bench`\",\n" reps;
+  out "  \"schema\": \"holes-microbench/2\",\n";
+  out
+    "  \"note\": \"host wall-clock ns/op, best of %d; exact OCaml minor-heap words/op; \
+     regenerate with `make bench`\",\n"
+    reps;
   out "  \"kernels\": {\n";
   let n = List.length results in
   List.iteri
-    (fun i (name, ns) ->
+    (fun i (name, m) ->
       let before_part =
         match List.assoc_opt name before with
         | Some b when b > 0.0 ->
-            Printf.sprintf ", \"before_ns\": %.1f, \"speedup\": %.2f" b (b /. ns)
+            Printf.sprintf ", \"before_ns\": %.1f, \"speedup\": %.2f" b (b /. m.ns)
         | _ -> ""
       in
-      out "    \"%s\": {\"ns_per_op\": %.1f%s}%s\n" name ns before_part
+      out "    \"%s\": {\"ns_per_op\": %.1f, \"minor_words_per_op\": %s%s}%s\n" name m.ns
+        (words_key m.words) before_part
         (if i < n - 1 then "," else ""))
     results;
   out "  }%s\n" (if grid_s <> None then "," else "");
@@ -418,21 +483,50 @@ let write_snapshot ~(path : string) ~(before : (string * float) list)
   close_out oc;
   Printf.printf "(wrote %s)\n%!" path
 
-let write_markdown ~(path : string) ~(tolerance : float)
-    ~(rows : (string * float option * float * int) list) : unit =
+(* one kernel's verdict row: committed entry, best fresh ns, fresh
+   words, measurement attempts *)
+type row = { name : string; base : entry option; ns : float; words : float; attempts : int }
+
+let ns_regressed ~(tolerance : float) (r : row) : bool =
+  match r.base with Some b -> r.ns /. b.base_ns > 1.0 +. tolerance | None -> false
+
+(* exact: any change in minor words per op, up or down *)
+let words_changed (r : row) : bool =
+  match r.base with
+  | Some { base_words = Some w; _ } -> words_key w <> words_key r.words
+  | _ -> false
+
+let words_cell (r : row) : string =
+  match r.base with
+  | Some { base_words = Some w; _ } -> words_key w
+  | _ -> "—"
+
+let write_markdown ~(path : string) ~(tolerance : float) ~(rows : row list) : unit =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "### Hot-path kernels vs committed baseline (tolerance %.0f%%)\n\n" (tolerance *. 100.0);
-  out "| kernel | baseline ns/op | fresh ns/op | ratio | attempts | verdict |\n";
-  out "|---|---:|---:|---:|---:|---|\n";
+  out "### Hot-path kernels vs committed baseline (ns tolerance %.0f%%, minor words exact)\n\n"
+    (tolerance *. 100.0);
+  out
+    "| kernel | baseline ns/op | fresh ns/op | ratio | attempts | baseline words/op | fresh \
+     words/op | verdict |\n";
+  out "|---|---:|---:|---:|---:|---:|---:|---|\n";
   List.iter
-    (fun (name, base, ns, attempts) ->
-      match base with
-      | None -> out "| `%s` | — | %.1f | — | %d | no baseline |\n" name ns attempts
-      | Some b ->
-          let ratio = ns /. b in
-          out "| `%s` | %.1f | %.1f | %.2fx | %d | %s |\n" name b ns ratio attempts
-            (if ratio > 1.0 +. tolerance then "**REGRESSED**" else "ok"))
+    (fun r ->
+      let verdict =
+        match r.base with
+        | None -> "no baseline"
+        | Some _ ->
+            if words_changed r then "**WORDS CHANGED**"
+            else if ns_regressed ~tolerance r then "**REGRESSED**"
+            else "ok"
+      in
+      let base_ns, ratio =
+        match r.base with
+        | Some b -> (Printf.sprintf "%.1f" b.base_ns, Printf.sprintf "%.2fx" (r.ns /. b.base_ns))
+        | None -> ("—", "—")
+      in
+      out "| `%s` | %s | %.1f | %s | %d | %s | %s | %s |\n" r.name base_ns r.ns ratio r.attempts
+        (words_cell r) (words_key r.words) verdict)
     rows;
   close_out oc
 
@@ -443,63 +537,59 @@ let check ~(path : string) ~(tolerance : float) ~(retries : int)
     Printf.eprintf "no kernel entries found in %s\n" path;
     exit 2
   end;
-  let fresh = run_kernels () in
-  (* (name, baseline, best observed ns, measurement attempts) *)
   let rows =
     ref
       (List.map
-         (fun (name, ns) ->
-           (name, Option.map fst (List.assoc_opt name snapshot), ns, 1))
-         fresh)
+         (fun (name, (m : measurement)) ->
+           { name; base = List.assoc_opt name snapshot; ns = m.ns; words = m.words; attempts = 1 })
+         (run_kernels ()))
   in
-  let regressed () =
-    List.filter_map
-      (fun (name, base, ns, _) ->
-        match base with
-        | Some b when ns /. b > 1.0 +. tolerance -> Some name
-        | _ -> None)
-      !rows
-  in
-  (* Re-measure only the regressed kernels: a genuine slowdown reproduces,
-     a noisy-neighbour blip on a shared runner does not.  Keep the best
-     time seen — the floor is the honest estimate of kernel cost. *)
+  let regressed () = List.filter (ns_regressed ~tolerance) !rows in
+  (* Re-measure only the kernels whose time regressed: a genuine
+     slowdown reproduces, a noisy-neighbour blip on a shared runner does
+     not.  Keep the best time seen — the floor is the honest estimate of
+     kernel cost.  Minor words need no retry: they are exact. *)
   let attempt = ref 0 in
   while regressed () <> [] && !attempt < retries do
     incr attempt;
-    let names = regressed () in
+    let names = List.map (fun r -> r.name) (regressed ()) in
     Printf.printf "retry %d/%d for noisy kernels: %s\n%!" !attempt retries
       (String.concat ", " names);
     List.iter
       (fun kname ->
-        let _, mk = List.find (fun (n, _) -> n = kname) kernels in
-        let iters, f = mk () in
-        let ns = time_ns_per_op ~iters f in
-        Printf.printf "%-14s %12.1f ns/op (retry)\n%!" kname ns;
+        let (m : measurement) = run_kernel kname in
+        Printf.printf "%-14s %12.1f ns/op (retry)\n%!" kname m.ns;
         rows :=
           List.map
-            (fun (n, base, best, tries) ->
-              if n = kname then (n, base, Float.min best ns, tries + 1)
-              else (n, base, best, tries))
+            (fun r ->
+              if r.name = kname then { r with ns = Float.min r.ns m.ns; attempts = r.attempts + 1 }
+              else r)
             !rows)
       names
   done;
   List.iter
-    (fun (name, base, ns, _) ->
-      match base with
-      | None -> Printf.printf "%-14s (no baseline entry, skipped)\n" name
+    (fun r ->
+      match r.base with
+      | None -> Printf.printf "%-14s (no baseline entry, skipped)\n" r.name
       | Some b ->
-          let ratio = ns /. b in
-          Printf.printf "%-14s %10.1f ns vs baseline %10.1f ns (%.2fx) %s\n" name ns b
-            ratio
-            (if ratio > 1.0 +. tolerance then "REGRESSED" else "ok"))
+          let ratio = r.ns /. b.base_ns in
+          Printf.printf "%-14s %10.1f ns vs baseline %10.1f ns (%.2fx) %s; words/op %s vs %s %s\n"
+            r.name r.ns b.base_ns ratio
+            (if ns_regressed ~tolerance r then "REGRESSED" else "ok")
+            (words_key r.words) (words_cell r)
+            (if words_changed r then "CHANGED" else "ok"))
     !rows;
   (match markdown with
   | Some md -> write_markdown ~path:md ~tolerance ~rows:!rows
   | None -> ());
-  if regressed () <> [] then begin
+  let slow = regressed () and changed = List.filter words_changed !rows in
+  if slow <> [] then
     Printf.eprintf "microbench: kernel regression beyond %.0f%% tolerance\n" (tolerance *. 100.0);
-    exit 1
-  end
+  if changed <> [] then
+    Printf.eprintf
+      "microbench: minor words per op changed (%s); commit an intended change with `make bench`\n"
+      (String.concat ", " (List.map (fun r -> r.name) changed));
+  if slow <> [] || changed <> [] then exit 1
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -543,7 +633,8 @@ let () =
               close_in ic;
               if !v0 <> None then !v0 else !v
             in
-            (List.map (fun (n, (ns, b)) -> (n, Option.value b ~default:ns)) snap, grid_b)
+            ( List.map (fun (n, e) -> (n, Option.value e.before_ns ~default:e.base_ns)) snap,
+              grid_b )
       in
       let results = run_kernels () in
       let grid_s = if grid then Some (grid_wall_s ()) else None in

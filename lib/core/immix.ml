@@ -46,6 +46,11 @@ type t = {
           all-blocks × all-pages scan the OS failure up-call used to
           pay *)
   mutable next_block_index : int;
+  mutable spare : Block.t list;
+      (** dissolved blocks, most recent first: the next assembly takes
+          one over ([Block.create ~reuse]) so its line maps, live counts
+          and grown object list are reused rather than reallocated *)
+  page_scratch : int array;  (** the pages of a block being assembled *)
   recyclable : Intvec.t;
       (** block indices with free lines, address order; consumed front
           to back through [recyclable_pos] (a cursor into a flat vector
@@ -54,6 +59,7 @@ type t = {
   mark_queue : Intvec.t;
       (** the snapshot work-list: every slot id, enqueued in ascending-id
           order, so marking runs over a dense int array *)
+  evac_ids : Intvec.t;  (** evacuation scratch: the object list being evacuated *)
   (* bump-pointer state: main cursor *)
   mutable cur_block : int;  (** -1 = none *)
   mutable cursor : int;
@@ -131,9 +137,12 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
     nblocks = 0;
     page_owner = Array.make (Page_stock.npages stock) (-1);
     next_block_index = 0;
+    spare = [];
+    page_scratch = Array.make Units.pages_per_block (-2);
     recyclable = Intvec.create ();
     recyclable_pos = 0;
     mark_queue = Intvec.create ~capacity:256 ();
+    evac_ids = Intvec.create ();
     cur_block = -1;
     cursor = 0;
     limit = 0;
@@ -202,17 +211,34 @@ let is_medium (t : t) ~(size : int) : bool = size > t.cfg.Config.line_size
 (* Block acquisition                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Install a block built from [pages] (stock ids; -1 = borrowed DRAM). *)
-let install_block (t : t) ~(pages : int array) : int =
+(* Install a block built from the pages in [t.page_scratch] (stock ids;
+   -1 = borrowed DRAM), reusing a dissolved block's storage when one is
+   spare. *)
+let install_block (t : t) : int =
   let w = weights t in
   let index = t.next_block_index in
   t.next_block_index <- t.next_block_index + 1;
+  let reuse =
+    match t.spare with
+    | r :: rest ->
+        t.spare <- rest;
+        Some r
+    | [] -> None
+  in
+  let pages =
+    match reuse with
+    | Some r ->
+        Array.blit t.page_scratch 0 r.Block.pages 0 Units.pages_per_block;
+        r.Block.pages
+    | None -> Array.copy t.page_scratch
+  in
   let empty_bitmap = Bitset.create Holes_pcm.Geometry.lines_per_page in
   let b =
-    Block.create ~tbl:t.btbl ~index ~base:(index * block_bytes)
+    Block.create ?reuse ~tbl:t.btbl ~index ~base:(index * block_bytes)
       ~line_size:t.cfg.Config.line_size ~pages
       ~page_bitmap:(fun id ->
         if id = -1 then empty_bitmap else (Page_stock.page t.stock id).Page_stock.bitmap)
+      ()
   in
   if index >= Array.length t.table then begin
     let grown = Array.make (max 16 (2 * Array.length t.table)) None in
@@ -226,55 +252,58 @@ let install_block (t : t) ~(pages : int array) : int =
   t.metrics.Metrics.blocks_assembled <- t.metrics.Metrics.blocks_assembled + 1;
   index
 
+(* Fill [t.page_scratch] from slot [i] on with relaxed stock pages;
+   on a shortfall return the pages taken and answer false.  (Top-level
+   recursion: a local closure would allocate on every attempt, and an
+   exhausted heap retries once per surviving object.) *)
+let rec take_relaxed_pages (t : t) (i : int) : bool =
+  if i = Units.pages_per_block then true
+  else
+    match Page_stock.take_relaxed t.stock with
+    | Some p ->
+        t.page_scratch.(i) <- p;
+        take_relaxed_pages t (i + 1)
+    | None ->
+        (* roll back *)
+        for j = 0 to i - 1 do
+          Page_stock.return_page t.stock t.page_scratch.(j)
+        done;
+        false
+
 (* Assemble a fresh block from eight relaxed stock pages.  Returns the
    block index, or None when the stock cannot supply a block. *)
 let assemble_block (t : t) : int option =
-  let pages = Array.make Units.pages_per_block (-2) in
-  let rec take i =
-    if i = Units.pages_per_block then true
-    else
-      match Page_stock.take_relaxed t.stock with
-      | Some p ->
-          pages.(i) <- p;
-          take (i + 1)
-      | None ->
-          (* roll back *)
-          for j = 0 to i - 1 do
-            Page_stock.return_page t.stock pages.(j)
-          done;
-          false
-  in
-  if not (take 0) then None else Some (install_block t ~pages)
+  if not (take_relaxed_pages t 0) then None else Some (install_block t)
+
+(* [take_relaxed_pages] for a perfect block: perfect pages, borrowing
+   DRAM (-1) where the perfect pool is dry. *)
+let rec take_perfect_pages (t : t) (w : Cost.weights) (i : int) : bool =
+  if i = Units.pages_per_block then true
+  else begin
+    Cost.charge t.cost w.Cost.perfect_request;
+    match Page_stock.take_perfect t.stock with
+    | Page_stock.Perfect id ->
+        t.page_scratch.(i) <- id;
+        take_perfect_pages t w (i + 1)
+    | Page_stock.Borrowed ->
+        Cost.charge t.cost w.Cost.dram_borrow;
+        t.page_scratch.(i) <- -1;
+        take_perfect_pages t w (i + 1)
+    | Page_stock.Exhausted ->
+        for j = 0 to i - 1 do
+          if t.page_scratch.(j) = -1 then Page_stock.return_borrowed t.stock
+          else Page_stock.return_page t.stock t.page_scratch.(j)
+        done;
+        false
+  end
 
 (* Assemble a perfect block for the overflow fallback: eight perfect
    pages, borrowing DRAM where the perfect pool is dry (Sec. 3.3.3).
    None when both the perfect pool and the borrow budget are exhausted. *)
 let assemble_perfect_block (t : t) : int option =
-  let w = weights t in
-  let pages = Array.make Units.pages_per_block (-2) in
-  let rec take i =
-    if i = Units.pages_per_block then true
-    else begin
-      Cost.charge t.cost w.Cost.perfect_request;
-      match Page_stock.take_perfect t.stock with
-      | Page_stock.Perfect id ->
-          pages.(i) <- id;
-          take (i + 1)
-      | Page_stock.Borrowed ->
-          Cost.charge t.cost w.Cost.dram_borrow;
-          pages.(i) <- -1;
-          take (i + 1)
-      | Page_stock.Exhausted ->
-          for j = 0 to i - 1 do
-            if pages.(j) = -1 then Page_stock.return_borrowed t.stock
-            else Page_stock.return_page t.stock pages.(j)
-          done;
-          false
-    end
-  in
-  if not (take 0) then None
+  if not (take_perfect_pages t (weights t) 0) then None
   else begin
-    let bi = install_block t ~pages in
+    let bi = install_block t in
     Block.set_perfect_grant (block t bi) true;
     Some bi
   end
@@ -290,7 +319,8 @@ let dissolve_block (t : t) (b : Block.t) : unit =
       end)
     b.Block.pages;
   t.table.(b.Block.index) <- None;
-  t.nblocks <- t.nblocks - 1
+  t.nblocks <- t.nblocks - 1;
+  t.spare <- b :: t.spare
 
 (* ------------------------------------------------------------------ *)
 (* Bump allocation                                                     *)
@@ -336,6 +366,26 @@ let set_cursor_to_hole (t : t) (b : Block.t) ~(from_line : int) ~(min_bytes : in
       true
   end
 
+(* Recycled blocks first (Immix allocation order, Sec. 4.1): walk the
+   flat recyclable vector through its cursor, pointing the main cursor
+   at the first hole that fits [size].  Top-level, not a closure inside
+   the slow path, which would allocate its environment on every refill. *)
+let rec try_recyclable (t : t) (w : Cost.weights) ~(size : int) : bool =
+  if t.recyclable_pos >= Intvec.length t.recyclable then false
+  else begin
+    let bi = Intvec.unsafe_get t.recyclable t.recyclable_pos in
+    t.recyclable_pos <- t.recyclable_pos + 1;
+    (* an incremental sweep slice may have dissolved a listed block
+       since the vector was built; skip the stale entry *)
+    match block_opt t bi with
+    | None -> try_recyclable t w ~size
+    | Some b ->
+        Block.set_recyclable b false;
+        Cost.charge t.cost w.Cost.block_open;
+        if set_cursor_to_hole t b ~from_line:0 ~min_bytes:size then true
+        else try_recyclable t w ~size
+  end
+
 (* Small-object allocation without triggering collection.  Returns the
    address, or -1 when the heap is exhausted at this instant.  The fast
    path is a single compare against the bump limit; [find_hole] is only
@@ -362,41 +412,21 @@ and alloc_small_slow (t : t) ~(size : int) : int =
     ok
   in
   if advanced then place_at_cursor t ~size
-  else begin
-    (* recycled blocks first (Immix allocation order, Sec. 4.1): walk
-       the flat recyclable vector through its cursor *)
-    let rec try_recyclable () =
-      if t.recyclable_pos >= Intvec.length t.recyclable then false
-      else begin
-        let bi = Intvec.unsafe_get t.recyclable t.recyclable_pos in
-        t.recyclable_pos <- t.recyclable_pos + 1;
-        (* an incremental sweep slice may have dissolved a listed block
-           since the vector was built; skip the stale entry *)
-        match block_opt t bi with
-        | None -> try_recyclable ()
-        | Some b ->
-            Block.set_recyclable b false;
-            Cost.charge t.cost w.Cost.block_open;
-            if set_cursor_to_hole t b ~from_line:0 ~min_bytes:size then true
-            else try_recyclable ()
-      end
-    in
-    if try_recyclable () then place_at_cursor t ~size
-    else
-      (* then completely free blocks from the global pool *)
-      match assemble_block t with
-      | None -> -1
-      | Some bi ->
-          Cost.charge t.cost w.Cost.block_open;
-          let b = block t bi in
-          if set_cursor_to_hole t b ~from_line:0 ~min_bytes:size then place_at_cursor t ~size
-          else begin
-            (* an extremely damaged block can lack any usable hole;
-               return its pages immediately and try the next one *)
-            dissolve_block t b;
-            alloc_small_nogc t ~size
-          end
-  end
+  else if try_recyclable t w ~size then place_at_cursor t ~size
+  else
+    (* then completely free blocks from the global pool *)
+    match assemble_block t with
+    | None -> -1
+    | Some bi ->
+        Cost.charge t.cost w.Cost.block_open;
+        let b = block t bi in
+        if set_cursor_to_hole t b ~from_line:0 ~min_bytes:size then place_at_cursor t ~size
+        else begin
+          (* an extremely damaged block can lack any usable hole;
+             return its pages immediately and try the next one *)
+          dissolve_block t b;
+          alloc_small_nogc t ~size
+        end
 
 (* Medium-object overflow allocation (Sec. 4.1 "overflow allocation",
    failure-aware re-search per Sec. 4.2).  Returns the address, or one
@@ -412,6 +442,31 @@ and alloc_small_slow (t : t) ~(size : int) : int =
 let needs_gc = -1
 let needs_perfect = -2
 
+(* The failure-aware change to overflow allocation: search the
+   remainder of the overflow block for a hole that fits [size] before
+   giving up on it; true when the overflow cursor now points at one. *)
+let search_ovf (t : t) (w : Cost.weights) ~(size : int) : bool =
+  t.ovf_block >= 0
+  &&
+  let b = block t t.ovf_block in
+  t.metrics.Metrics.overflow_searches <- t.metrics.Metrics.overflow_searches + 1;
+  if Trace.armed t.tracer then
+    Trace.instant t.tracer ~tid:Trace.tid_alloc "overflow_search"
+      ~args:[ ("size", float_of_int size) ];
+  let enc = Block.find_hole_enc b ~from_line:0 ~min_bytes:size in
+  if enc < 0 then false
+  else begin
+    let s = enc lsr 30 and e = enc land 0x3FFFFFFF in
+    let examined = e in
+    Cost.charge t.cost (w.Cost.hole_skip +. (w.Cost.line_scan *. float_of_int examined));
+    t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
+    Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
+    t.metrics.Metrics.hole_skips <- t.metrics.Metrics.hole_skips + 1;
+    t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
+    t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
+    true
+  end
+
 let alloc_medium_nogc (t : t) ~(size : int) : int =
   let w = weights t in
   (* fits the current bump run? then no overflow needed *)
@@ -419,60 +474,33 @@ let alloc_medium_nogc (t : t) ~(size : int) : int =
   else begin
     t.metrics.Metrics.overflow_allocs <- t.metrics.Metrics.overflow_allocs + 1;
     if t.ovf_block >= 0 && t.ovf_cursor + size <= t.ovf_limit then place_at_ovf t ~size
-    else begin
-      (* failure-aware change: search the remainder of the overflow block
-         for a suitably sized hole before giving up on it *)
-      let search_ovf () =
-        t.ovf_block >= 0
-        &&
-        let b = block t t.ovf_block in
-        t.metrics.Metrics.overflow_searches <- t.metrics.Metrics.overflow_searches + 1;
-        if Trace.armed t.tracer then
-          Trace.instant t.tracer ~tid:Trace.tid_alloc "overflow_search"
-            ~args:[ ("size", float_of_int size) ];
-        let enc = Block.find_hole_enc b ~from_line:0 ~min_bytes:size in
-        if enc < 0 then false
-        else begin
-            let s = enc lsr 30 and e = enc land 0x3FFFFFFF in
-            let examined = e in
-            Cost.charge t.cost
-              (w.Cost.hole_skip +. (w.Cost.line_scan *. float_of_int examined));
-            t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
-            Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
-            t.metrics.Metrics.hole_skips <- t.metrics.Metrics.hole_skips + 1;
-            t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
-            t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
-            true
-        end
-      in
-      if search_ovf () then place_at_ovf t ~size
-      else
-        match assemble_block t with
-        | Some bi -> (
-            Cost.charge t.cost w.Cost.block_open;
-            let b = block t bi in
-            let enc = Block.find_hole_enc b ~from_line:0 ~min_bytes:size in
-            if enc >= 0 then begin
-                let s = enc lsr 30 and e = enc land 0x3FFFFFFF in
-                let examined = e in
-                Cost.charge t.cost (w.Cost.line_scan *. float_of_int examined);
-                t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
-                Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
-                t.ovf_block <- bi;
-                t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
-                t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
-                place_at_ovf t ~size
-            end
-            else begin
-                (* even a completely fresh block has no big-enough hole:
-                   the *static* failure pattern, not garbage, is the
-                   obstacle.  A collection cannot help; hand the block's
-                   pages back and request a perfect block. *)
-                dissolve_block t b;
-                needs_perfect
-            end)
-        | None -> needs_gc
-    end
+    else if search_ovf t w ~size then place_at_ovf t ~size
+    else
+      match assemble_block t with
+      | Some bi -> (
+          Cost.charge t.cost w.Cost.block_open;
+          let b = block t bi in
+          let enc = Block.find_hole_enc b ~from_line:0 ~min_bytes:size in
+          if enc >= 0 then begin
+              let s = enc lsr 30 and e = enc land 0x3FFFFFFF in
+              let examined = e in
+              Cost.charge t.cost (w.Cost.line_scan *. float_of_int examined);
+              t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
+              Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
+              t.ovf_block <- bi;
+              t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
+              t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
+              place_at_ovf t ~size
+          end
+          else begin
+              (* even a completely fresh block has no big-enough hole:
+                 the *static* failure pattern, not garbage, is the
+                 obstacle.  A collection cannot help; hand the block's
+                 pages back and request a perfect block. *)
+              dissolve_block t b;
+              needs_perfect
+          end)
+      | None -> needs_gc
   end
 
 (* Perfect-block fallback for medium objects that cannot be placed in
@@ -549,27 +577,29 @@ let dissolve_empty_and_rebuild (t : t) : unit =
    no overflow space) simply stays where it is. *)
 let evacuate_block (t : t) (b : Block.t) : unit =
   let w = weights t in
-  let ids = Intvec.to_list b.Block.objs in
-  List.iter
-    (fun id ->
-      if Object_table.is_alive t.objects id && (not (Object_table.is_pinned t.objects id))
-         && not (Object_table.is_los t.objects id)
-      then begin
-        let addr = Object_table.addr t.objects id in
-        if addr / block_bytes = b.Block.index then begin
-          let size = Object_table.size t.objects id in
-          let new_addr = alloc_nogc t ~size in
-          if new_addr >= 0 then begin
-            Block.remove_object_lines b ~addr ~size;
-            Object_table.relocate t.objects id ~new_addr;
-            Intvec.push (block_of_addr t new_addr).Block.objs id;
-            Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-            t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
-            t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
-          end
+  (* iterate a copy: a survivor may land back in [b] and extend its list *)
+  let ids = t.evac_ids in
+  Intvec.assign ids b.Block.objs;
+  for k = 0 to Intvec.length ids - 1 do
+    let id = Intvec.unsafe_get ids k in
+    if Object_table.is_alive t.objects id && (not (Object_table.is_pinned t.objects id))
+       && not (Object_table.is_los t.objects id)
+    then begin
+      let addr = Object_table.addr t.objects id in
+      if addr / block_bytes = b.Block.index then begin
+        let size = Object_table.size t.objects id in
+        let new_addr = alloc_nogc t ~size in
+        if new_addr >= 0 then begin
+          Block.remove_object_lines b ~addr ~size;
+          Object_table.relocate t.objects id ~new_addr;
+          Intvec.push (block_of_addr t new_addr).Block.objs id;
+          Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
+          t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
+          t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
         end
-      end)
-    ids;
+      end
+    end
+  done;
   Block.set_evacuate b false
 
 (* Select the blocks a collection will evacuate: blocks flagged by a
@@ -1249,17 +1279,19 @@ let find_page_owner (t : t) ~(page : int) : (Block.t * int) option =
         in
         pos 0
 
-(** Stock page id and 64 B PCM line backing heap byte [addr], if the
-    address lies in an assembled block ([None] for DRAM-borrowed pages
-    and unassembled addresses). *)
-let page_backing (t : t) ~(addr : int) : (int * int) option =
+(** The 64 B PCM line backing heap byte [addr], encoded as
+    [stock_page * lines_per_page + line], or -1 for DRAM-borrowed pages
+    and unassembled addresses. *)
+let backing_line (t : t) ~(addr : int) : int =
   match block_opt t (addr / block_bytes) with
-  | None -> None
+  | None -> -1
   | Some b ->
       let off = addr - b.Block.base in
       let pg = b.Block.pages.(off / Holes_pcm.Geometry.page_bytes) in
-      if pg < 0 then None
-      else Some (pg, off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes)
+      if pg < 0 then -1
+      else
+        (pg * Holes_pcm.Geometry.lines_per_page)
+        + (off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes)
 
 (** Request defragmentation at the next full collection (used by the
     VM when the LOS runs short of pages: consolidation dissolves sparse

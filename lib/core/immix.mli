@@ -51,6 +51,11 @@ type t = {
       (** stock page id -> owning block index, -1 when unassembled: the
           O(1) reverse index behind [find_page_owner] *)
   mutable next_block_index : int;
+  mutable spare : Block.t list;
+      (** dissolved blocks, most recent first: the next assembly takes
+          one over ([Block.create ~reuse]) so its line maps, live counts
+          and grown object list are reused rather than reallocated *)
+  page_scratch : int array;  (** the pages of a block being assembled *)
   recyclable : Intvec.t;
       (** block indices with free lines, address order; consumed front
           to back through [recyclable_pos] *)
@@ -58,6 +63,7 @@ type t = {
   mark_queue : Intvec.t;
       (** the snapshot work-list: every slot id, enqueued in ascending-id
           order, so marking runs over a dense int array *)
+  evac_ids : Intvec.t;  (** evacuation scratch: the object list being evacuated *)
   mutable cur_block : int;  (** main bump cursor's block; -1 = none *)
   mutable cursor : int;
   mutable limit : int;
@@ -219,10 +225,11 @@ val find_page_owner : t -> page:int -> (Block.t * int) option
     [page], if any — the reverse lookup the OS failure up-call needs to
     turn a page/line pair back into a heap address. *)
 
-val page_backing : t -> addr:int -> (int * int) option
-(** Stock page id and 64 B PCM line backing heap byte [addr], if the
-    address lies in an assembled block ([None] for DRAM-borrowed pages
-    and unassembled addresses). *)
+val backing_line : t -> addr:int -> int
+(** The 64 B PCM line backing heap byte [addr], encoded as
+    [stock_page * lines_per_page + line], or -1 for DRAM-borrowed pages
+    and unassembled addresses.  One int, so the per-line-write lookup
+    allocates nothing. *)
 
 val request_defrag : t -> unit
 (** Request defragmentation at the next full collection (used by the

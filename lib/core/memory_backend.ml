@@ -278,6 +278,35 @@ let content_for_write (st : device_state) : Bytes.t =
       end);
   st.payload
 
+(* Feed a charged PCM write to the tier's hot-page counters (no-op
+   without migration). *)
+let note_pcm_write (st : device_state) ~(virt : int) ~(phys : int) : unit =
+  match st.node.n_tier with
+  | Some tier ->
+      Osal.Tier.note_pcm_write tier st.proc ~virt ~pcm_phys:phys ~charge_copy:st.charge_copy
+  | None -> ()
+
+(* Write [payload] to PCM line [logical] backing virtual page [virt] /
+   physical page [phys].  A wear failure is serviced at once; a stalled
+   device (failure-buffer pressure) is drained and, on the first
+   attempt ([retry]), the write is tried once more. *)
+let rec pcm_write (st : device_state) ~(virt : int) ~(phys : int) ~(logical : int)
+    (payload : Bytes.t) ~(retry : bool) : write_outcome =
+  match Pcm.Device.write st.device logical payload with
+  | Pcm.Device.Stored ->
+      note_pcm_write st ~virt ~phys;
+      Stored
+  | Pcm.Device.Write_failed ->
+      ignore (service st);
+      note_pcm_write st ~virt ~phys;
+      Line_failed
+  | Pcm.Device.Stalled ->
+      if retry then begin
+        ignore (service st);
+        pcm_write st ~virt ~phys ~logical payload ~retry:false
+      end
+      else Skipped
+
 (** Charge one 64 B line store on [stock_page]/[line] through the device
     write path.  A wear failure fires the device callback, and the
     interrupt is serviced immediately — by the time this returns, the
@@ -286,54 +315,28 @@ let content_for_write (st : device_state) : Bytes.t =
     retried once.  With tiering on, writes whose translation lands on
     a promoted DRAM frame are absorbed by the tier (dirty-line
     tracking, no device write), and PCM writes feed the tier's
-    hot-page counters. *)
+    hot-page counters.  Allocates nothing per write outside tier
+    promotions, epoch ends and wear-out handling (the "zero-allocation
+    step" tests in [test_hotpath.ml]). *)
 let device_write (st : device_state) ~(stock_page : int) ~(line : int) : write_outcome =
   Stats.observe st.metrics.Metrics.fbuf_occupancy_hist
     (float_of_int (Pcm.Device.buffer_occupancy st.device));
   let virt = st.virt_of_stock.(stock_page) in
-  match Osal.Vmm.translate st.proc ~virt with
-  | None -> Skipped
-  | Some phys when phys < st.dram_pages ->
-      (match st.node.n_tier with
-      | Some tier ->
-          ignore
-            (Osal.Tier.note_dram_write tier ~phys ~line ~payload:(content_for_write st)
-               ~charge_copy:st.charge_copy)
-      | None -> ());
-      Skipped
-  | Some phys -> (
-      let logical = ((phys - st.dram_pages) * lines_per_page) + line in
-      if not (Pcm.Device.line_usable st.device logical) then Skipped
-      else begin
-        let payload = content_for_write st in
-        let note () =
-          match st.node.n_tier with
-          | Some tier ->
-              Osal.Tier.note_pcm_write tier st.proc ~virt ~pcm_phys:phys
-                ~charge_copy:st.charge_copy
-          | None -> ()
-        in
-        let write () = Pcm.Device.write st.device logical payload in
-        match write () with
-        | Pcm.Device.Stored ->
-            note ();
-            Stored
-        | Pcm.Device.Write_failed ->
-            ignore (service st);
-            note ();
-            Line_failed
-        | Pcm.Device.Stalled -> (
-            ignore (service st);
-            match write () with
-            | Pcm.Device.Stored ->
-                note ();
-                Stored
-            | Pcm.Device.Write_failed ->
-                ignore (service st);
-                note ();
-                Line_failed
-            | Pcm.Device.Stalled -> Skipped)
-      end)
+  let phys = Osal.Vmm.translate_phys st.proc ~virt in
+  if phys < 0 then Skipped
+  else if phys < st.dram_pages then begin
+    (match st.node.n_tier with
+    | Some tier ->
+        ignore
+          (Osal.Tier.note_dram_write tier ~phys ~line ~payload:(content_for_write st)
+             ~charge_copy:st.charge_copy)
+    | None -> ());
+    Skipped
+  end
+  else
+    let logical = ((phys - st.dram_pages) * lines_per_page) + line in
+    if not (Pcm.Device.line_usable st.device logical) then Skipped
+    else pcm_write st ~virt ~phys ~logical (content_for_write st) ~retry:true
 
 (** Copy the pipeline's counters into the VM metrics (idempotent
     assignment, called at run end and before printing summaries). *)

@@ -159,6 +159,19 @@ let handle_line_retired (t : t) ~(stock_page : int) ~(line : int) ~(data : Bytes
           | Some base -> relocate_los_victim t ~addr:base
           | None -> ()))
 
+(* The 64 B PCM line backing byte [off] of the object at [addr]
+   (stock_page * lines_per_page + line), or -1 when no PCM line backs it. *)
+let backing_line (t : t) ~(addr : int) ~(off : int) : int =
+  if Los.is_los_addr addr then Los.backing_line t.los ~base:addr ~off
+  else match t.space with Ix s -> Immix.backing_line s ~addr:(addr + off) | Ms _ -> -1
+
+(* Charge one 64 B store to the encoded [backing_line] [bl], if any. *)
+let charge_line_write (st : Memory_backend.device_state) (bl : int) : unit =
+  if bl >= 0 then
+    ignore
+      (Memory_backend.device_write st ~stock_page:(bl / lines_per_page)
+         ~line:(bl mod lines_per_page))
+
 (* Charge the device writes behind materializing object [id]: one 64 B
    line store per line it spans.  A store may wear its line out
    mid-loop; the failure chain then retires the line (possibly
@@ -173,18 +186,7 @@ let charge_device_writes (t : t) ~(id : int) : unit =
       let i = ref 0 in
       while !i < nlines && Object_table.is_alive t.objects id do
         let addr = Object_table.addr t.objects id in
-        let off = !i * line64 in
-        let backing =
-          if Los.is_los_addr addr then Los.page_backing t.los ~base:addr ~off
-          else
-            match t.space with
-            | Ix s -> Immix.page_backing s ~addr:(addr + off)
-            | Ms _ -> None
-        in
-        (match backing with
-        | None -> ()
-        | Some (stock_page, line) ->
-            ignore (Memory_backend.device_write st ~stock_page ~line));
+        charge_line_write st (backing_line t ~addr ~off:(!i * line64));
         incr i
       done
 
@@ -441,15 +443,8 @@ let write_ref (t : t) ~(src : int) ~(dst : int) : unit =
   Object_table.add_ref t.objects ~src ~dst;
   (match t.backend with
   | Memory_backend.Static -> ()
-  | Memory_backend.Device st -> (
-      let addr = Object_table.addr t.objects src in
-      let backing =
-        if Los.is_los_addr addr then Los.page_backing t.los ~base:addr ~off:0
-        else match t.space with Ix s -> Immix.page_backing s ~addr | Ms _ -> None
-      in
-      match backing with
-      | None -> ()
-      | Some (stock_page, line) -> ignore (Memory_backend.device_write st ~stock_page ~line)));
+  | Memory_backend.Device st ->
+      charge_line_write st (backing_line t ~addr:(Object_table.addr t.objects src) ~off:0));
   match t.space with Ix s -> Immix.write_barrier s ~src | Ms s -> Mark_sweep.write_barrier s ~src
 
 (** The object becomes unreachable; its space is reclaimed by a later

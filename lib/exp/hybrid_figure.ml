@@ -21,10 +21,11 @@
       can no longer back the heap, the same end-of-life measure as the
       wear tables ([>=] marks the quick-mode round cap).
 
-    The expected direction (and the CI gate on the streamed rows):
-    migration alone absorbs the write-hot pages, caram alone absorbs
-    the redundant content, and migrate+caram compounds — its absorption
-    must clear 30% in this scenario. *)
+    The expected direction (and the CI gate on the streamed rows,
+    {!absorption_gate}): migration alone absorbs the write-hot pages,
+    caram alone absorbs the redundant content, and migrate+caram
+    compounds — its absorption must clear {!absorption_threshold} (30%)
+    in this scenario. *)
 
 module Cfg = Holes.Config
 module Hybrid = Holes_pcm.Hybrid
@@ -44,6 +45,57 @@ let policies : (string * Hybrid.policy) list =
   ]
 
 let dram_levels : int list = [ 8; 32 ]
+
+(** The headline deliverable's threshold: at this operating point the
+    migrate+caram row must absorb at least this fraction of the charged
+    line writes ({!absorption_gate}; CI's figures-quick job and
+    [test_hybrid] both read it). *)
+let absorption_threshold = 0.30
+
+(* the config-name tag of the migrate+caram cells, e.g. "-hybmig512car8" *)
+let migrate_caram_tag =
+  "-hyb"
+  ^ Hybrid.short_name { Hybrid.migrate_epoch = Some migrate_epoch; caram_ways = Some caram_ways }
+
+(** The absorption gate over the figure's sink records (one JSON object
+    per cell, as {!table} streams them): the migrate+caram cells —
+    config names carrying {!migrate_caram_tag} and an [hyb_absorption]
+    metric — must include one absorbing at least
+    {!absorption_threshold} of the charged writes.  [Ok] carries one
+    line per cell plus the verdict; [Error] when no such cell was
+    recorded or the best falls short — the tiering path has then
+    quietly stopped doing its job, even if the figure still renders. *)
+let absorption_gate (records : string list) : (string, string) result =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match
+          ( Fleet_figure.record_field line "config",
+            Option.bind (Fleet_figure.record_field line "hyb_absorption") float_of_string_opt )
+        with
+        | Some config, Some a when contains config migrate_caram_tag -> Some (config, a)
+        | _ -> None)
+      records
+  in
+  let best = List.fold_left (fun acc (_, a) -> Float.max acc a) 0.0 rows in
+  let cells =
+    String.concat "\n"
+      (List.map (fun (config, a) -> Printf.sprintf "%s: absorption %.3f" config a) rows)
+  in
+  if rows = [] then Error "no migrate+caram rows in the sink records"
+  else if best < absorption_threshold then
+    Error
+      (Printf.sprintf "%s\nmigrate+caram absorbed only %.1f%% of charged writes (< %.0f%% gate)"
+         cells (100.0 *. best) (100.0 *. absorption_threshold))
+  else
+    Ok
+      (Printf.sprintf "%s\ngate ok: best migrate+caram absorption %.1f%% (>= %.0f%%)" cells
+         (100.0 *. best) (100.0 *. absorption_threshold))
 
 let cell_cfg ~(hybrid : Hybrid.policy) ~(dram_pages : int) : Cfg.t =
   let d = Cfg.default_device in

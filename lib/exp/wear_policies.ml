@@ -16,7 +16,7 @@
 
     - start-gap buys no lifetime at all — it reaches end-of-life in the
       same number of rounds as hole tolerance alone while issuing ~6%
-      more device writes (gap copies) and costing ~10% more time per
+      more device writes (gap copies) and costing 4–14% more time per
       round, because the heap's own allocation rotation already levels
       the traffic the rotation would have leveled;
     - the remapping policies (random-remap / decoder-swap) defer the
@@ -24,8 +24,9 @@
       contiguous dead-line run collapses from hundreds of lines to
       single digits (the [frag] column), which is exactly the failure
       shape hole tolerance handles worst — every block ends up
-      perforated, and whole-life time per round rises 10–20% over
-      [none] even though fewer lines have died.
+      perforated.  Their time per round is far lower than [none]'s,
+      because a cell's line retirements dominate its cost and they are
+      spread over five times as many rounds.
 
     Quick runs cap the round count for CI; [--full] runs every cell to
     device end-of-life, which is where the whole-life overhead ratios
@@ -73,24 +74,26 @@ let cell_cfg ~(model : Cfg.failure_model) ~(policy : Wl.policy option) : Cfg.t =
 
 exception Worn_out
 
-(** What one cell measured: lifetime in workload rounds, the accumulated
-    cost-model time of the completed rounds, and a postmortem of the
+(** What one cell measured: lifetime in workload rounds, the cost-model
+    clock at the end of the last completed round, and a postmortem of the
     dead logical lines — how many, and in how many contiguous runs.
     [dead_lines /. dead_runs] is the mean dead-run length, the
     fragmentation signal: clustered deaths retire whole blocks, while
     scattered deaths perforate every block. *)
 type outcome = {
   rounds : int;
-  elapsed_ms : float;
+  elapsed_ms : float;  (** VM clock after the last completed round's collection *)
   dead_lines : int;
   dead_runs : int;
   m : Holes.Metrics.t;
 }
 
-(** Like {!Wear_lifetime.rounds_until_wearout}, but also accumulates the
-    cost-model time of the completed rounds so cells can report
-    time-per-round (the GC-overhead signal) next to lifetime.  Both are
-    virtual quantities — deterministic for a given config at any [-j]. *)
+(** Like {!Wear_lifetime.rounds_until_wearout}, but also records the
+    VM's cost-model clock at the end of the last completed round (its
+    post-round collection included) so cells can report time-per-round
+    (the GC-overhead signal) next to lifetime.  A worn-out round's
+    partial time is excluded.  Both are virtual quantities —
+    deterministic for a given config at any [-j]. *)
 let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : float)
     ~(max_rounds : int) : outcome =
   let profile = Holes_workload.Profile.scaled profile scale in
@@ -103,11 +106,14 @@ let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : 
        let res = Holes_workload.Generator.run ~rng vm profile in
        if not res.Holes_workload.Generator.completed then raise Worn_out;
        incr rounds;
-       elapsed := !elapsed +. res.Holes_workload.Generator.elapsed_ms;
        let objs = Holes.Vm.objects vm in
        Holes_heap.Object_table.iter_slots objs (fun id ->
            if Holes_heap.Object_table.is_alive objs id then Holes.Vm.kill vm id);
-       Holes.Vm.collect vm ~full:true
+       Holes.Vm.collect vm ~full:true;
+       (* [Generator.run]'s elapsed time is the VM's cumulative clock,
+          not the round's: summing it would grow ms/round with the
+          round count *)
+       elapsed := Holes.Vm.elapsed_ms vm
      done
    with Worn_out | Holes.Vm.Out_of_memory -> ());
   Holes.Vm.sync_backend_stats vm;

@@ -121,18 +121,32 @@ let pcm_lines_per_page = Holes_pcm.Geometry.lines_per_page
 (** Create a block over [pages] (backing page-stock ids), importing each
     page's 64 B failure bitmap into logical-line failed marks.  The
     import iterates only the *set* bits of each page bitmap (word-level
-    extraction), so an undamaged page costs one word compare. *)
-let create ~(tbl : table) ~(index : int) ~(base : int) ~(line_size : int)
-    ~(pages : int array) ~(page_bitmap : int -> Bitset.t) : t =
+    extraction), so an undamaged page costs one word compare.  [reuse]
+    hands over a dissolved block of the same line size whose line maps,
+    live counts and object list are reset and reused, instead of
+    allocated afresh. *)
+let create ?(reuse : t option) ~(tbl : table) ~(index : int) ~(base : int) ~(line_size : int)
+    ~(pages : int array) ~(page_bitmap : int -> Bitset.t) () : t =
   if not (Units.valid_line_size line_size) then invalid_arg "Block.create: bad line size";
   if index < 0 then invalid_arg "Block.create: negative index";
   table_ensure tbl (index + 1);
   if Array.length pages <> Units.pages_per_block then
     invalid_arg "Block.create: wrong page count";
   let nlines = Units.lines_per_block ~line_size in
-  let free = Bitset.create nlines in
+  let free, failed, live, objs =
+    match reuse with
+    | Some r when r.line_size = line_size ->
+        Bitset.fill r.failed false;
+        Array.fill r.live 0 nlines 0;
+        Intvec.clear r.objs;
+        (r.free, r.failed, r.live, r.objs)
+    | Some _ | None ->
+        ( Bitset.create nlines,
+          Bitset.create nlines,
+          Array.make nlines 0,
+          Intvec.create ~capacity:64 () )
+  in
   Bitset.fill free true;
-  let failed = Bitset.create nlines in
   (* false-failure widening: any failed 64 B PCM line inside a logical
      line fails the whole logical line *)
   let pcm_per_logical = line_size / pcm_line in
@@ -164,8 +178,8 @@ let create ~(tbl : table) ~(index : int) ~(base : int) ~(line_size : int)
     nlines;
     free;
     failed;
-    live = Array.make nlines 0;
-    objs = Intvec.create ~capacity:64 ();
+    live;
+    objs;
     tbl;
   }
 

@@ -96,17 +96,25 @@ val set_perfect_grant : t -> bool -> unit
 (** {2 Construction and line queries} *)
 
 val create :
+  ?reuse:t ->
   tbl:table ->
   index:int ->
   base:int ->
   line_size:int ->
   pages:int array ->
   page_bitmap:(int -> Holes_stdx.Bitset.t) ->
+  unit ->
   t
 (** Create a block over [pages] (backing page-stock ids), importing each
     page's 64 B failure bitmap into logical-line failed marks.  The
     import iterates only the {e set} bits of each page bitmap (word-level
-    extraction), so an undamaged page costs one word compare. *)
+    extraction), so an undamaged page costs one word compare.
+
+    [reuse] is a dissolved block whose line maps, per-line live counts
+    and object list (with the capacity it grew to) are reset and taken
+    over, so a reassembled block allocates none of them afresh.  The
+    dissolved block must not be used afterwards.  Ignored when its line
+    size differs. *)
 
 val line_state : t -> int -> line_state
 val is_failed_line : t -> int -> bool

@@ -31,4 +31,4 @@ let lines_per_block ~(line_size : int) : int = block_bytes / line_size
 let round_up (n : int) (to_ : int) : int = (n + to_ - 1) / to_ * to_
 
 (** Size of an allocation request after alignment. *)
-let aligned_size (n : int) : int = max align (round_up n align)
+let aligned_size (n : int) : int = Int.max align (round_up n align)

@@ -11,37 +11,43 @@ let nbuckets = 64
 
 type hist = {
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  acc : float array;  (* [|sum; min; max|], unboxed *)
   buckets : int array;  (* buckets.(b) counts values in [2^(b-1), 2^b); b=0 holds v < 1 *)
 }
 
-let hist () : hist =
-  { count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity; buckets = Array.make nbuckets 0 }
+let i_sum = 0
+let i_min = 1
+let i_max = 2
 
-(* Bucket of a non-negative value: frexp gives v = m * 2^e with
-   m in [0.5, 1), so 2^(e-1) <= v < 2^e and the bucket is e (clamped).
-   Values below 1 (including 0) land in bucket 0. *)
-let bucket_of (v : float) : int =
+let hist () : hist =
+  { count = 0; acc = [| 0.0; infinity; neg_infinity |]; buckets = Array.make nbuckets 0 }
+
+(* Bucket of a value: for v >= 1, v = 1.m * 2^(E-1023) with E the IEEE
+   biased exponent, so 2^(e-1) <= v < 2^e for e = E - 1022 — the
+   exponent [Float.frexp] reports, read straight from the bits instead
+   of through frexp's (float * int) tuple.  Values below 1 (including 0,
+   negatives and NaN) land in bucket 0; so does infinity (E = 2047),
+   for which frexp reports 0. *)
+let[@inline] bucket_of (v : float) : int =
   if not (v >= 1.0) then 0
   else
-    let _, e = Float.frexp v in
-    if e >= nbuckets then nbuckets - 1 else e
+    let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1022 in
+    if e = 1025 then 0 else if e >= nbuckets then nbuckets - 1 else e
 
-let observe (h : hist) (v : float) : unit =
+let[@inline] observe (h : hist) (v : float) : unit =
   h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v;
+  let acc = h.acc in
+  Array.unsafe_set acc i_sum (Array.unsafe_get acc i_sum +. v);
+  if v < Array.unsafe_get acc i_min then Array.unsafe_set acc i_min v;
+  if v > Array.unsafe_get acc i_max then Array.unsafe_set acc i_max v;
   let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1
+  Array.unsafe_set h.buckets b (Array.unsafe_get h.buckets b + 1)
 
 let count (h : hist) : int = h.count
-let total (h : hist) : float = h.sum
-let mean (h : hist) : float = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
-let max_value (h : hist) : float = if h.count = 0 then 0.0 else h.max_v
-let min_value (h : hist) : float = if h.count = 0 then 0.0 else h.min_v
+let total (h : hist) : float = h.acc.(i_sum)
+let mean (h : hist) : float = if h.count = 0 then 0.0 else h.acc.(i_sum) /. float_of_int h.count
+let max_value (h : hist) : float = if h.count = 0 then 0.0 else h.acc.(i_max)
+let min_value (h : hist) : float = if h.count = 0 then 0.0 else h.acc.(i_min)
 
 (* Upper bound of bucket [b]: 2^b (bucket 0 covers [0, 1)). *)
 let bucket_upper (b : int) : float = Float.ldexp 1.0 b
@@ -61,7 +67,7 @@ let quantile ?(interp = false) (h : hist) (q : float) : float =
     let b, before = find 0 0 in
     if not interp then
       (* clamp the bucket bound by the actually observed extremes *)
-      Float.max h.min_v (Float.min (bucket_upper b) h.max_v)
+      Float.max h.acc.(i_min) (Float.min (bucket_upper b) h.acc.(i_max))
     else begin
       (* sub-bucket linear interpolation: place the target rank
          proportionally between the bucket's edges, with the edges
@@ -70,8 +76,8 @@ let quantile ?(interp = false) (h : hist) (q : float) : float =
       let inb = max 1 h.buckets.(b) in
       let lo = if b = 0 then 0.0 else Float.ldexp 1.0 (b - 1) in
       let hi = bucket_upper b in
-      let lo = Float.max lo h.min_v in
-      let hi = Float.max lo (Float.min hi h.max_v) in
+      let lo = Float.max lo h.acc.(i_min) in
+      let hi = Float.max lo (Float.min hi h.acc.(i_max)) in
       let frac = float_of_int (target - before) /. float_of_int inb in
       lo +. (frac *. (hi -. lo))
     end
@@ -79,10 +85,10 @@ let quantile ?(interp = false) (h : hist) (q : float) : float =
 
 let merge (into : hist) (src : hist) : unit =
   into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
+  into.acc.(i_sum) <- into.acc.(i_sum) +. src.acc.(i_sum);
   if src.count > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
+    if src.acc.(i_min) < into.acc.(i_min) then into.acc.(i_min) <- src.acc.(i_min);
+    if src.acc.(i_max) > into.acc.(i_max) then into.acc.(i_max) <- src.acc.(i_max)
   end;
   Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets
 
@@ -92,13 +98,7 @@ let merged (hs : hist list) : hist =
   h
 
 let copy (h : hist) : hist =
-  {
-    count = h.count;
-    sum = h.sum;
-    min_v = h.min_v;
-    max_v = h.max_v;
-    buckets = Array.copy h.buckets;
-  }
+  { count = h.count; acc = Array.copy h.acc; buckets = Array.copy h.buckets }
 
 let to_fields ~(prefix : string) (h : hist) : (string * float) list =
   [

@@ -7,6 +7,17 @@
     plus exact count/sum/min/max: [observe] is a handful of arithmetic
     operations and one array increment, with no allocation.
 
+    Zero-allocation contract: [observe] and [bucket_of] allocate no
+    minor-heap words.  Sum, min and max live in an unboxed [float array]
+    (a mutable [float] field of a mixed record would box every store),
+    [bucket_of] reads the IEEE exponent instead of calling
+    [Float.frexp] (whose tuple result allocates), and both are inlined,
+    so the observed value is never boxed to cross the call — in an
+    optimizing build, which is the default release profile (dev's
+    [-opaque] blocks the inlining).  The "zero-allocation step" tests in
+    [test_hotpath.ml] enforce it, and [make bench-check] gates the
+    [stats_observe] kernel's minor words per call exactly.
+
     Histograms are plain mutable records (no closures), so structural
     equality — used by the engine's [-j 1] = [-j N] determinism tests —
     works on any record embedding them. *)
@@ -35,13 +46,13 @@ val nbuckets : int
 
 (** A log{_2}-bucket histogram.  Bucket [b] counts observations in
     [\[2{^b-1}, 2{^b})]; bucket 0 holds everything below 1 (including
-    zero and negatives).  The fields are exposed so consumers can fold
-    histograms into structurally comparable records. *)
+    zero, negatives, NaN and infinity).  The fields are exposed so
+    consumers can fold histograms into structurally comparable records. *)
 type hist = {
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;  (** [infinity] while empty *)
-  mutable max_v : float;  (** [neg_infinity] while empty *)
+  acc : float array;
+      (** [[|sum; min; max|]], unboxed; min is [infinity] and max
+          [neg_infinity] while empty *)
   buckets : int array;
 }
 
@@ -49,7 +60,9 @@ val hist : unit -> hist
 (** A fresh, empty histogram. *)
 
 val bucket_of : float -> int
-(** The bucket index a value falls into. *)
+(** The bucket index a value falls into: the exponent [Float.frexp]
+    reports for values [>= 1] (clamped to the last bucket), 0 for
+    everything else and for infinity. *)
 
 val observe : hist -> float -> unit
 (** Record one observation.  O(1), allocation-free. *)

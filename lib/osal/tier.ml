@@ -40,7 +40,10 @@ type t = {
   dram_pages : int;
   epoch : int;  (** charged line writes between decay rounds *)
   promote_threshold : int;
-  heat : (int * int, int) Hashtbl.t;  (** (pid, virt) -> decayed write count *)
+  heat : (int, int ref) Hashtbl.t;
+      (** [heat_key pid virt] -> decayed write count, bumped in place so
+          a write to a known page allocates nothing *)
+  decayed : Intvec.t;  (** epoch scratch: heat keys whose count fell to 0 *)
   by_frame : (int, resident) Hashtbl.t;  (** dram frame id -> resident *)
   mutable tick : int;
   mutable promotes : int;
@@ -78,6 +81,7 @@ let create ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Holes_pcm.Device.t)
        demand repeated traffic *)
     promote_threshold = max 4 (epoch / 256);
     heat = Hashtbl.create 64;
+    decayed = Intvec.create ();
     by_frame = Hashtbl.create 16;
     tick = 0;
     promotes = 0;
@@ -110,6 +114,10 @@ let residents (t : t) : (int * int * int * int) list =
   |> List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b)
 
 let resident_count (t : t) : int = Hashtbl.length t.by_frame
+
+(* One int per (pid, virtual page): virtual page numbers count up from 0
+   per process, far below 2^32. *)
+let[@inline] heat_key ~(pid : int) ~(virt : int) : int = (pid lsl 32) lor virt
 
 (* ---- demotion --------------------------------------------------------- *)
 
@@ -200,7 +208,7 @@ let promote (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
             content = Bytes.make Geometry.page_bytes '\000';
             dram_writes = 0;
           };
-        Hashtbl.remove t.heat (proc.Vmm.pid, virt);
+        Hashtbl.remove t.heat (heat_key ~pid:proc.Vmm.pid ~virt);
         t.promotes <- t.promotes + 1;
         charge_copy ~bytes:Geometry.page_bytes;
         if Trace.armed t.tracer then
@@ -214,9 +222,14 @@ let epoch_tick (t : t) ~(charge_copy : bytes:int -> unit) : unit =
   if t.tick >= t.epoch then begin
     t.tick <- 0;
     t.epochs <- t.epochs + 1;
-    Hashtbl.filter_map_inplace
-      (fun _ c -> if c / 2 = 0 then None else Some (c / 2))
+    (* halve every count in place; drop the pages that reach 0 *)
+    Intvec.clear t.decayed;
+    Hashtbl.iter
+      (fun k c ->
+        c := !c / 2;
+        if !c = 0 then Intvec.push t.decayed k)
       t.heat;
+    Intvec.iter t.decayed (fun k -> Hashtbl.remove t.heat k);
     let cold =
       Hashtbl.fold
         (fun _ (r : resident) acc ->
@@ -229,12 +242,21 @@ let epoch_tick (t : t) ~(charge_copy : bytes:int -> unit) : unit =
   end
 
 (** A charged line write that reached the PCM path: bump the page's
-    heat and promote it when it crosses the threshold. *)
+    heat and promote it when it crosses the threshold.  Allocation-free
+    for a page already in the heat table, outside promotions and epoch
+    ends. *)
 let note_pcm_write (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     ~(charge_copy : bytes:int -> unit) : unit =
-  let key = (proc.Vmm.pid, virt) in
-  let c = (match Hashtbl.find_opt t.heat key with Some c -> c | None -> 0) + 1 in
-  Hashtbl.replace t.heat key c;
+  let key = heat_key ~pid:proc.Vmm.pid ~virt in
+  let c =
+    match Hashtbl.find t.heat key with
+    | c ->
+        incr c;
+        !c
+    | exception Not_found ->
+        Hashtbl.add t.heat key (ref 1);
+        1
+  in
   if c >= t.promote_threshold then promote t proc ~virt ~pcm_phys ~charge_copy;
   epoch_tick t ~charge_copy
 
@@ -244,9 +266,9 @@ let note_pcm_write (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     interrupt handler swapped in, which the tier does not manage. *)
 let note_dram_write (t : t) ~(phys : int) ~(line : int) ~(payload : Bytes.t)
     ~(charge_copy : bytes:int -> unit) : bool =
-  match Hashtbl.find_opt t.by_frame phys with
-  | None -> false
-  | Some r ->
+  match Hashtbl.find t.by_frame phys with
+  | exception Not_found -> false
+  | r ->
       Bitset.set r.dirty line;
       Bytes.blit payload 0 r.content (line * Geometry.line_bytes) Geometry.line_bytes;
       r.dram_writes <- r.dram_writes + 1;

@@ -135,8 +135,15 @@ let map_failures (t : t) (p : process) ~(virt : int) : Bitset.t =
       if m.phys < t.dram_pages then Bitset.create Page.lines_per_page
       else Bitset.copy (Failure_table.get t.table ~page:(m.phys - t.dram_pages))
 
+(** [translate_phys p ~virt] is the physical page backing virtual page
+    [virt], or -1 when it is unmapped — the allocation-free lookup of
+    the per-line-write path. *)
+let translate_phys (p : process) ~(virt : int) : int =
+  match Hashtbl.find p.page_table virt with m -> m.phys | exception Not_found -> -1
+
 let translate (p : process) ~(virt : int) : int option =
-  Hashtbl.find_opt p.page_table virt |> Option.map (fun m -> m.phys)
+  let phys = translate_phys p ~virt in
+  if phys < 0 then None else Some phys
 
 (** Reverse address translation (physical -> (pid, virtual)); "relatively
     expensive, but dynamic failures are very rare" (Sec. 3.2.2). *)

@@ -28,15 +28,20 @@ type entry = {
   mutable valid : bool;
 }
 
-type binding =
-  | Slot of int  (** index into [table]: deduplicated against that entry *)
-  | Pattern of char  (** single-byte-pattern compressed line *)
+(* A logical line's binding, one int (the map is read and rewritten on
+   every write, so it allocates nothing): an index into [table] (>= 0)
+   for a line deduplicated against that entry, [pattern_binding c] for
+   a line compressed to the single repeated byte [c], or [unbound]. *)
+let unbound = -1
+let[@inline] pattern_binding (code : int) : int = -2 - code
+let[@inline] pattern_code (b : int) : int = -2 - b
 
 type t = {
   ways : int;
   sets : int;
   table : entry array;  (** [sets * ways] entries, set-major *)
-  bound : (int, binding) Hashtbl.t;  (** logical line -> current binding *)
+  binding : int array;  (** logical line -> current binding (see above) *)
+  mutable nbound : int;  (** lines not [unbound] *)
   mutable dedup_hits : int;
   mutable compressed : int;
   mutable installs : int;
@@ -64,7 +69,8 @@ let create ~(ways : int) ~(nlines : int) () : t =
     table =
       Array.init (sets * ways) (fun _ ->
           { fp = 0; data = Bytes.empty; refs = 0; valid = false });
-    bound = Hashtbl.create 64;
+    binding = Array.make nlines unbound;
+    nbound = 0;
     dedup_hits = 0;
     compressed = 0;
     installs = 0;
@@ -81,23 +87,29 @@ let fingerprint (b : Bytes.t) : int =
   done;
   !h land max_int
 
-let pattern_of (b : Bytes.t) : char option =
+(* the repeated byte's code when all of [b] is one byte, else -1 *)
+let pattern_of (b : Bytes.t) : int =
   let n = Bytes.length b in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let c = Bytes.unsafe_get b 0 in
     let i = ref 1 in
     while !i < n && Bytes.unsafe_get b !i = c do incr i done;
-    if !i = n then Some c else None
+    if !i = n then Char.code c else -1
   end
 
 let release (t : t) (logical : int) : unit =
-  match Hashtbl.find_opt t.bound logical with
-  | None -> ()
-  | Some (Pattern _) -> Hashtbl.remove t.bound logical
-  | Some (Slot i) ->
-      t.table.(i).refs <- t.table.(i).refs - 1;
-      Hashtbl.remove t.bound logical
+  let b = t.binding.(logical) in
+  if b <> unbound then begin
+    if b >= 0 then t.table.(b).refs <- t.table.(b).refs - 1;
+    t.binding.(logical) <- unbound;
+    t.nbound <- t.nbound - 1
+  end
+
+(* bind an unbound (just released) line *)
+let bind (t : t) (logical : int) (b : int) : unit =
+  t.binding.(logical) <- b;
+  t.nbound <- t.nbound + 1
 
 type write_outcome =
   | Absorbed  (** dedup or compression: the PCM cells must not be written *)
@@ -109,86 +121,93 @@ type write_outcome =
     have been installed as a fresh fingerprint entry for future
     dedup). *)
 let write (t : t) (logical : int) (payload : Bytes.t) : write_outcome =
-  match pattern_of payload with
-  | Some c ->
-      release t logical;
-      Hashtbl.replace t.bound logical (Pattern c);
-      t.compressed <- t.compressed + 1;
+  let pc = pattern_of payload in
+  if pc >= 0 then begin
+    release t logical;
+    bind t logical (pattern_binding pc);
+    t.compressed <- t.compressed + 1;
+    t.meta_writes <- t.meta_writes + 1;
+    Absorbed
+  end
+  else begin
+    let fp = fingerprint payload in
+    let set = fp mod t.sets in
+    let base = set * t.ways in
+    let hit = ref (-1) in
+    for w = 0 to t.ways - 1 do
+      let e = t.table.(base + w) in
+      if !hit < 0 && e.valid && e.fp = fp && Bytes.equal e.data payload then hit := base + w
+    done;
+    let i = !hit in
+    if i >= 0 then begin
+      (* a rewrite of identical content keeps its binding *)
+      if t.binding.(logical) <> i then begin
+        release t logical;
+        t.table.(i).refs <- t.table.(i).refs + 1;
+        bind t logical i
+      end;
+      t.dedup_hits <- t.dedup_hits + 1;
       t.meta_writes <- t.meta_writes + 1;
       Absorbed
-  | None -> (
-      let fp = fingerprint payload in
-      let set = fp mod t.sets in
-      let base = set * t.ways in
-      let hit = ref (-1) in
-      for w = 0 to t.ways - 1 do
+    end
+    else begin
+      release t logical;
+      (* install into an unreferenced way so future identical
+         writes dedup against this (master) copy *)
+      let victim = ref (-1) in
+      for w = t.ways - 1 downto 0 do
         let e = t.table.(base + w) in
-        if !hit < 0 && e.valid && e.fp = fp && Bytes.equal e.data payload then
-          hit := base + w
+        if e.refs = 0 then victim := base + w
       done;
-      match !hit with
-      | i when i >= 0 ->
-          (match Hashtbl.find_opt t.bound logical with
-          | Some (Slot j) when j = i -> ()  (* rewrite of identical content *)
-          | _ ->
-              release t logical;
-              t.table.(i).refs <- t.table.(i).refs + 1;
-              Hashtbl.replace t.bound logical (Slot i));
-          t.dedup_hits <- t.dedup_hits + 1;
-          t.meta_writes <- t.meta_writes + 1;
-          Absorbed
-      | _ ->
-          release t logical;
-          (* install into an unreferenced way so future identical
-             writes dedup against this (master) copy *)
-          let victim = ref (-1) in
-          for w = t.ways - 1 downto 0 do
-            let e = t.table.(base + w) in
-            if e.refs = 0 then victim := base + w
-          done;
-          if !victim >= 0 then begin
-            let e = t.table.(!victim) in
-            if e.valid then t.evictions <- t.evictions + 1;
-            e.fp <- fp;
-            e.data <- Bytes.copy payload;
-            e.refs <- 0;
-            e.valid <- true;
-            t.installs <- t.installs + 1
-          end;
-          Store)
+      if !victim >= 0 then begin
+        let e = t.table.(!victim) in
+        if e.valid then t.evictions <- t.evictions + 1;
+        e.fp <- fp;
+        (* an unreferenced entry's buffer is private: refill it *)
+        if Bytes.length e.data = Bytes.length payload then
+          Bytes.blit payload 0 e.data 0 (Bytes.length payload)
+        else e.data <- Bytes.copy payload;
+        e.refs <- 0;
+        e.valid <- true;
+        t.installs <- t.installs + 1
+      end;
+      Store
+    end
+  end
 
 (** [read t logical] is the bound content of [logical], if any; [None]
     means the arena holds the line. *)
 let read (t : t) (logical : int) ~(line_bytes : int) : Bytes.t option =
-  match Hashtbl.find_opt t.bound logical with
-  | None -> None
-  | Some (Pattern c) -> Some (Bytes.make line_bytes c)
-  | Some (Slot i) -> Some (Bytes.copy t.table.(i).data)
+  let b = t.binding.(logical) in
+  if b = unbound then None
+  else if b >= 0 then Some (Bytes.copy t.table.(b).data)
+  else Some (Bytes.make line_bytes (Char.chr (pattern_code b)))
 
 (** All current bindings as [(logical, content)], sorted by logical
     line — the write-through list for disabling caram mid-run. *)
 let flush (t : t) ~(line_bytes : int) : (int * Bytes.t) list =
-  let all =
-    Hashtbl.fold
-      (fun logical b acc ->
-        let data =
-          match b with
-          | Pattern c -> Bytes.make line_bytes c
-          | Slot i -> Bytes.copy t.table.(i).data
-        in
-        (logical, data) :: acc)
-      t.bound []
-  in
-  Hashtbl.reset t.bound;
+  let all = ref [] in
+  for logical = Array.length t.binding - 1 downto 0 do
+    let b = t.binding.(logical) in
+    if b <> unbound then begin
+      let data =
+        if b >= 0 then Bytes.copy t.table.(b).data
+        else Bytes.make line_bytes (Char.chr (pattern_code b))
+      in
+      all := (logical, data) :: !all
+    end
+  done;
+  Array.fill t.binding 0 (Array.length t.binding) unbound;
+  t.nbound <- 0;
   Array.iter
     (fun e ->
       e.refs <- 0;
       e.valid <- false;
       e.data <- Bytes.empty)
     t.table;
-  List.sort (fun (a, _) (b, _) -> compare a b) all
+  !all
 
-let bound_count (t : t) : int = Hashtbl.length t.bound
+let bound_count (t : t) : int = t.nbound
 
 let stats (t : t) : stats =
   {
@@ -197,7 +216,7 @@ let stats (t : t) : stats =
     s_installs = t.installs;
     s_evictions = t.evictions;
     s_meta_writes = t.meta_writes;
-    s_bound = Hashtbl.length t.bound;
+    s_bound = t.nbound;
   }
 
 (** Internal-consistency errors, for the paranoid verifier: recount
@@ -206,19 +225,21 @@ let stats (t : t) : stats =
 let check (t : t) : string list =
   let errs = ref [] in
   let counted = Array.make (Array.length t.table) 0 in
-  Hashtbl.iter
-    (fun logical b ->
-      match b with
-      | Pattern _ -> ()
-      | Slot i ->
-          if i < 0 || i >= Array.length t.table then
-            errs := Printf.sprintf "caram: line %d bound to slot %d out of range" logical i :: !errs
-          else begin
-            if not t.table.(i).valid then
-              errs := Printf.sprintf "caram: line %d bound to invalid slot %d" logical i :: !errs;
-            counted.(i) <- counted.(i) + 1
-          end)
-    t.bound;
+  let nbound = ref 0 in
+  Array.iteri
+    (fun logical i ->
+      if i <> unbound then incr nbound;
+      if i >= 0 then
+        if i >= Array.length t.table then
+          errs := Printf.sprintf "caram: line %d bound to slot %d out of range" logical i :: !errs
+        else begin
+          if not t.table.(i).valid then
+            errs := Printf.sprintf "caram: line %d bound to invalid slot %d" logical i :: !errs;
+          counted.(i) <- counted.(i) + 1
+        end)
+    t.binding;
+  if !nbound <> t.nbound then
+    errs := Printf.sprintf "caram: %d bound lines but count %d" !nbound t.nbound :: !errs;
   Array.iteri
     (fun i n ->
       if t.table.(i).refs <> n then

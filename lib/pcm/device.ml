@@ -111,17 +111,16 @@ let compose_write_path (stages : Translate.stage array) : int -> int =
   | [||] -> Fun.id
   | [| s |] when s.Translate.on_write == Translate.nop_write -> s.Translate.translate
   | _ ->
-      let n = Array.length stages in
       fun logical ->
-        let rec go i l =
-          if i >= n then l
-          else begin
-            let s = Array.unsafe_get stages i in
-            s.Translate.on_write l;
-            go (i + 1) (s.Translate.translate l)
-          end
-        in
-        go 0 logical
+        (* a loop: a local recursive walk would allocate its closure on
+           every write *)
+        let l = ref logical in
+        for i = 0 to Array.length stages - 1 do
+          let s = Array.unsafe_get stages i in
+          s.Translate.on_write !l;
+          l := s.Translate.translate !l
+        done;
+        !l
 
 let translate_for_write (t : t) (logical : int) : int = t.write_path logical
 

@@ -96,14 +96,21 @@ let redirect_stage (regions : Redirect.t array) ~(region_lines : int) : stage =
 
 (** Fold a line forward through the pipeline. *)
 let translate (stages : stage array) (l : int) : int =
-  let n = Array.length stages in
-  let rec go i l = if i >= n then l else go (i + 1) ((Array.unsafe_get stages i).translate l) in
-  go 0 l
+  (* a loop, not a local recursive function: its closure over [stages]
+     would allocate on every translation *)
+  let l = ref l in
+  for i = 0 to Array.length stages - 1 do
+    l := (Array.unsafe_get stages i).translate !l
+  done;
+  !l
 
 (** Fold a physical line backward through the pipeline. *)
 let inverse (stages : stage array) (p : int) : int =
-  let rec go i p = if i < 0 then p else go (i - 1) (stages.(i).inverse p) in
-  go (Array.length stages - 1) p
+  let p = ref p in
+  for i = Array.length stages - 1 downto 0 do
+    p := stages.(i).inverse !p
+  done;
+  !p
 
 (** Per-stage invariants plus whole-pipeline consistency over [nlines]
     lines: the composition is a bijection and [inverse] really inverts

@@ -1,11 +1,20 @@
 (** Probability distributions used by the workload generator and the PCM
     wear model.  All samplers take an explicit {!Xrng.t} so results are
-    reproducible. *)
+    reproducible.
+
+    The uniform draw feeding [log] is clamped away from 0 with {!clamp_tiny}
+    rather than [Stdlib.max]: the polymorphic [max] takes its float
+    arguments boxed, so it would allocate on every sample. *)
+
+(** [clamp_tiny u] is [Stdlib.max 1e-300 u], returning the same value
+    for every [u] (NaN included), with a float compare instead of the
+    polymorphic one. *)
+let[@inline] clamp_tiny (u : float) : float = if 1e-300 >= u then 1e-300 else u
 
 (** Standard normal via Box–Muller (one value per call; we do not cache the
     second value to keep the sampler stateless w.r.t. the distribution). *)
 let normal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
-  let u1 = max 1e-300 (Xrng.float rng) in
+  let u1 = clamp_tiny (Xrng.float rng) in
   let u2 = Xrng.float rng in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
@@ -15,8 +24,8 @@ let lognormal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
   exp (normal rng ~mu ~sigma)
 
 (** Exponential with mean [mean]. *)
-let exponential (rng : Xrng.t) ~(mean : float) : float =
-  let u = max 1e-300 (Xrng.float rng) in
+let[@inline] exponential (rng : Xrng.t) ~(mean : float) : float =
+  let u = clamp_tiny (Xrng.float rng) in
   -.mean *. log u
 
 (** Geometric on {1, 2, ...} with success probability [p]. *)
@@ -24,7 +33,7 @@ let geometric (rng : Xrng.t) ~(p : float) : int =
   if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: p out of (0,1]";
   if p >= 1.0 then 1
   else
-    let u = max 1e-300 (Xrng.float rng) in
+    let u = clamp_tiny (Xrng.float rng) in
     1 + int_of_float (log u /. log (1.0 -. p))
 
 (** Bounded Pareto on [lo, hi] with shape [alpha].  Heavy-tailed object
@@ -77,7 +86,7 @@ module Discrete = struct
     if !acc <= 0.0 then invalid_arg "Dist.Discrete.make: total weight zero";
     { items; cum }
 
-  let sample (t : 'a t) (rng : Xrng.t) : 'a =
+  let[@inline] sample (t : 'a t) (rng : Xrng.t) : 'a =
     let total = t.cum.(Array.length t.cum - 1) in
     let u = Xrng.float rng *. total in
     let lo = ref 0 and hi = ref (Array.length t.cum - 1) in

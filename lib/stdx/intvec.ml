@@ -76,6 +76,13 @@ let filter_in_place (t : t) (p : int -> bool) : unit =
   done;
   t.len <- !j
 
+(** [assign dst src] makes [dst] hold [src]'s elements, in order,
+    reusing [dst]'s storage when it is large enough. *)
+let assign (dst : t) (src : t) : unit =
+  if Array.length dst.data < src.len then dst.data <- Array.make (Array.length src.data) 0;
+  Array.blit src.data 0 dst.data 0 src.len;
+  dst.len <- src.len
+
 let to_list (t : t) : int list =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []

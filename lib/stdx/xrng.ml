@@ -18,7 +18,14 @@
     nothing.  The cold paths ([of_seed], [split]) keep the original
     SplitMix64 over [Int64] — bit-for-bit the same streams as before (a
     test in [test_stdx.ml] pins this against an [Int64] reference
-    stepper). *)
+    stepper).
+
+    Zero-allocation contract: [step], [bits53], [float], [int] and
+    [bool] allocate no minor-heap words.  [bits53] and [float] are
+    [[@inline]], so a float draw is never boxed on its way out; that
+    holds in an optimizing build (the default release profile, see
+    [dune-workspace]), where cross-module inlining is on.  The
+    "zero-allocation step" tests in [test_hotpath.ml] enforce it. *)
 
 type t = {
   mutable s0l : int;
@@ -123,12 +130,14 @@ let split (t : t) : t =
 (** [bits53 t] returns a non-negative int uniform in [0, 2^53) — the top
     53 bits of the 64-bit xoshiro result, exactly the [Int64] stepper's
     [result lsr 11]. *)
-let bits53 (t : t) : int =
+let[@inline] bits53 (t : t) : int =
   step t;
   (t.rh lsl 21) lor (t.rl lsr 11)
 
-(** [float t] is uniform in [0, 1). *)
-let float (t : t) : float = Stdlib.float_of_int (bits53 t) *. 0x1p-53
+(** [float t] is uniform in [0, 1).  Inlined, so the result stays
+    unboxed in the caller: a draw allocates nothing (see the
+    zero-allocation contract above). *)
+let[@inline] float (t : t) : float = Stdlib.float_of_int (bits53 t) *. 0x1p-53
 
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] on a
     non-positive bound. *)

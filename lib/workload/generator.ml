@@ -53,7 +53,7 @@ let sample_size (rng : Xrng.t) (p : Profile.t) (dist : category Dist.Discrete.t)
   | Small ->
       (* geometric-ish around the mean, clamped to the small range *)
       let s = int_of_float (Dist.exponential rng ~mean:(p.Profile.small_mean -. 16.0)) + 16 in
-      min 304 (max 16 s)
+      Int.min 304 (Int.max 16 s)
   | Medium -> sample_log_uniform rng ~lo:medium_lo ~hi:medium_hi
   | Large -> sample_log_uniform rng ~lo:(medium_hi + 64) ~hi:p.Profile.large_max
 
@@ -63,7 +63,9 @@ let sample_lifetime (rng : Xrng.t) (p : Profile.t) : int =
   let lt = float_of_int p.Profile.live_target in
   let s = p.Profile.short_frac in
   let mean_short = 0.06 *. lt in
-  let mean_long = max mean_short ((lt -. (s *. mean_short)) /. (1.0 -. s)) in
+  let mean_long = (lt -. (s *. mean_short)) /. (1.0 -. s) in
+  (* [Stdlib.max mean_short mean_long] without boxing its float arguments *)
+  let mean_long = if mean_short >= mean_long then mean_short else mean_long in
   let mean = if Xrng.float rng < s then mean_short else mean_long in
   1 + int_of_float (Dist.exponential rng ~mean)
 
@@ -83,7 +85,7 @@ let run ?(rng : Xrng.t option) (vm : Holes.Vm.t) (profile : Profile.t) : result 
      (* immortal base: plain small/medium objects that never die *)
      let imm = ref 0 in
      while !imm < profile.Profile.immortal do
-       let size = min 2048 (max 32 (sample_size rng profile dist)) in
+       let size = Int.min 2048 (Int.max 32 (sample_size rng profile dist)) in
        ignore (Holes.Vm.alloc vm ~size ());
        imm := !imm + size
      done;

@@ -67,7 +67,7 @@ let make_block ?(line_size = 256) ?(bitmaps : Bitset.t array option) () =
   in
   Block.create ~tbl:(Block.table_create ()) ~index:0 ~base:0 ~line_size
     ~pages:(Array.init Units.pages_per_block Fun.id)
-    ~page_bitmap:(fun id -> bitmaps.(id))
+    ~page_bitmap:(fun id -> bitmaps.(id)) ()
 
 let test_block_fresh () =
   let b = make_block () in

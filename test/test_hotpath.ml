@@ -138,7 +138,7 @@ let test_find_hole_vs_naive () =
     let blk =
       Block.create ~tbl:(Block.table_create ()) ~index:0 ~base:0 ~line_size
         ~pages:(Array.init Holes_heap.Units.pages_per_block Fun.id)
-        ~page_bitmap:(fun id -> bitmaps.(id))
+        ~page_bitmap:(fun id -> bitmaps.(id)) ()
     in
     let nlines = blk.Block.nlines in
     let free = Array.init nlines (fun l -> Block.line_state blk l = Block.Free) in
@@ -214,7 +214,7 @@ let make_failed_block (rng : Rng.t) ~(line_size : int) ~(fail_p : float) : Block
   in
   Block.create ~tbl:(Block.table_create ()) ~index:0 ~base:0 ~line_size
     ~pages:(Array.init Holes_heap.Units.pages_per_block Fun.id)
-    ~page_bitmap:(fun id -> bitmaps.(id))
+    ~page_bitmap:(fun id -> bitmaps.(id)) ()
 
 (* The allocation fast path bumps a cursor through a previously found
    hole and re-enters [find_hole] only on exhaustion (DESIGN.md §13).
@@ -496,6 +496,162 @@ let test_golden_determinism () =
         Alcotest.(list string)
         "matches committed golden" (read_lines golden_path) j1
 
+(* ---- zero-allocation step ------------------------------------------
+
+   The per-object and per-line-write step allocates no OCaml minor-heap
+   words: the workload samplers, the log2 histogram, the small-object
+   bump path and the untiered device write.  Each check counts
+   [Gc.minor_words] over at least 10k calls and asserts exactly 0.
+
+   The property needs cross-module inlining ([Xrng.float] returns a
+   float, which a non-inlined call boxes), so it holds in an optimizing
+   build: the repository's default release profile (dune-workspace).
+   Dune's dev profile compiles with -opaque, which disables that
+   inlining, and these checks fail there by construction. *)
+
+module Dist = Holes_stdx.Dist
+module Gen = Holes_workload.Generator
+module Stats = Holes_obs.Stats
+module Mb = Holes.Memory_backend
+
+let zero_alloc_calls = 10_000
+
+(* minor words allocated by [n] calls of [f] (after one warm-up call) *)
+let words_over ~(n : int) (f : int -> unit) : int =
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  int_of_float (Gc.minor_words () -. w0)
+
+let check_zero name f =
+  check Alcotest.int
+    (Printf.sprintf "%s: minor words over %d calls" name zero_alloc_calls)
+    0
+    (words_over ~n:zero_alloc_calls f)
+
+let test_zero_alloc_samplers () =
+  (* the harness itself allocates nothing *)
+  check_zero "empty loop" (fun _ -> ());
+  let rng = Rng.of_seed 21 in
+  let fsink = [| 0.0 |] and isink = [| 0 |] in
+  check_zero "Xrng.float" (fun _ -> fsink.(0) <- fsink.(0) +. Rng.float rng);
+  check_zero "Dist.exponential" (fun _ ->
+      fsink.(0) <- fsink.(0) +. Dist.exponential rng ~mean:300.0);
+  List.iter
+    (fun p ->
+      let dist = Gen.category_dist p in
+      check_zero
+        ("Generator.sample_size " ^ p.Holes_workload.Profile.name)
+        (fun _ -> isink.(0) <- isink.(0) + Gen.sample_size rng p dist);
+      check_zero
+        ("Generator.sample_lifetime " ^ p.Holes_workload.Profile.name)
+        (fun _ -> isink.(0) <- isink.(0) + Gen.sample_lifetime rng p))
+    Holes_workload.Dacapo.suite;
+  let h = Stats.hist () in
+  check_zero "Stats.observe" (fun i -> Stats.observe h (float_of_int (i * 37)));
+  ignore (Sys.opaque_identity (fsink, isink))
+
+(* Small-object [Vm.alloc] on the bump path.  Warm-up rounds fill the
+   heap, kill everything and collect, so the dissolved blocks' storage
+   is spare and has grown to this workload's object count (a block that
+   was dissolved while still small grows once more when reused); the
+   measured calls are every one that neither collected nor assembled a
+   block (at 25% failures that includes hole skips within the current
+   block). *)
+let test_zero_alloc_bump () =
+  List.iter
+    (fun rate ->
+      let cfg = { Cfg.default with Cfg.failure_rate = rate; failure_dist = Cfg.Uniform } in
+      let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(8 lsl 20) () in
+      let m = Holes.Vm.metrics vm in
+      for _ = 1 to 3 do
+        let warm = Array.init 40_000 (fun _ -> Holes.Vm.alloc vm ~size:48 ()) in
+        Array.iter (Holes.Vm.kill vm) warm;
+        Holes.Vm.collect vm ~full:true
+      done;
+      let measured = ref 0 and words = ref 0 in
+      for _ = 1 to zero_alloc_calls + 2_000 do
+        let blocks = m.Holes.Metrics.blocks_assembled
+        and gcs = m.Holes.Metrics.nursery_gcs + m.Holes.Metrics.full_gcs in
+        let w0 = Gc.minor_words () in
+        ignore (Holes.Vm.alloc vm ~size:48 ());
+        let w = int_of_float (Gc.minor_words () -. w0) in
+        if blocks = m.Holes.Metrics.blocks_assembled
+           && gcs = m.Holes.Metrics.nursery_gcs + m.Holes.Metrics.full_gcs
+        then begin
+          incr measured;
+          words := !words + w
+        end
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "rate %.2f: >= %d bump-path calls" rate zero_alloc_calls)
+        true
+        (!measured >= zero_alloc_calls);
+      check Alcotest.int (Printf.sprintf "rate %.2f: bump-path minor words" rate) 0 !words)
+    [ 0.0; 0.25 ]
+
+(* [Memory_backend.device_write] on the untiered identity pipeline (no
+   leveling, no clustering, no caram, no migration), then with the
+   content store in front of the cells, then with migration on but an
+   epoch too long for any page to turn hot (so every write takes
+   [Tier.note_pcm_write]'s bump); production endurance, no wear-outs. *)
+let test_zero_alloc_device_write () =
+  List.iter
+    (fun (name, hybrid) ->
+      let d = { Cfg.default_device with Cfg.wear = Holes_pcm.Wear.default_params } in
+      let cfg = { Cfg.default with Cfg.backend = Cfg.Device d; hybrid } in
+      let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
+      let st = Option.get (Holes.Vm.device_state vm) in
+      let npages = Array.length st.Mb.virt_of_stock in
+      let lines = Holes_pcm.Geometry.lines_per_page in
+      let write i =
+        match Mb.device_write st ~stock_page:(i / lines mod npages) ~line:(i mod lines) with
+        | Mb.Stored -> ()
+        | Mb.Line_failed | Mb.Skipped -> Alcotest.fail "device write not stored"
+      in
+      (* warm-up: the arena materializes its chunks, the content store
+         fills its ways and the tier learns every page, on first touch *)
+      for i = 0 to (2 * npages * lines) - 1 do
+        write i
+      done;
+      check_zero ("Memory_backend.device_write, " ^ name) write)
+    [
+      ("untiered", Holes_pcm.Hybrid.none);
+      ("caram", { Holes_pcm.Hybrid.migrate_epoch = None; caram_ways = Some 8 });
+      ("migrate, no page hot", { Holes_pcm.Hybrid.migrate_epoch = Some max_int; caram_ways = None });
+    ]
+
+(* [bucket_of] against the frexp definition it replaced *)
+let bucket_of_ref (v : float) : int =
+  if not (v >= 1.0) then 0
+  else
+    let _, e = Float.frexp v in
+    if e >= Stats.nbuckets then Stats.nbuckets - 1 else e
+
+let special_floats =
+  [
+    0.0; -0.0; 5e-324; 2.2250738585072009e-308; 2.2250738585072014e-308; 0.5; 1.0;
+    Float.pred 1.0; 2.0; Float.pred 2.0; 3.0; 1000.0; 0x1p62; Float.pred 0x1p62; 0x1p63;
+    0x1p64; max_float; infinity; neg_infinity; nan; -1.0; 1e-300; Float.succ 1e-300;
+  ]
+
+(* every bit pattern: normals, subnormals, infinities and NaNs *)
+let any_float = QCheck.map Int64.float_of_bits QCheck.int64
+
+let prop_bucket_of =
+  QCheck.Test.make ~name:"Stats.bucket_of = frexp reference" ~count:20_000 any_float (fun v ->
+      Stats.bucket_of v = bucket_of_ref v
+      && List.for_all (fun x -> Stats.bucket_of x = bucket_of_ref x) special_floats)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_clamp =
+  QCheck.Test.make ~name:"Dist.clamp_tiny = Stdlib.max 1e-300" ~count:20_000 any_float (fun v ->
+      same_bits (Dist.clamp_tiny v) (Stdlib.max 1e-300 v)
+      && List.for_all (fun x -> same_bits (Dist.clamp_tiny x) (Stdlib.max 1e-300 x)) special_floats)
+
 let suite =
   [
     ("bitset ops vs per-bit reference (12k cases)", `Quick, test_bitset_vs_naive);
@@ -504,4 +660,10 @@ let suite =
     ("mark deque vs oracle reference", `Quick, test_mark_deque_vs_reference);
     ("fused sweep vs naive per-line sweep", `Quick, test_fused_sweep_vs_naive);
     ("experiment grid matches golden, -j independent", `Quick, test_golden_determinism);
+    ("zero-allocation step: samplers and histogram", `Quick, test_zero_alloc_samplers);
+    ("zero-allocation step: Vm.alloc bump path", `Quick, test_zero_alloc_bump);
+    ("zero-allocation step: device_write", `Quick, test_zero_alloc_device_write);
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 13 |]))
+      [ prop_bucket_of; prop_clamp ]

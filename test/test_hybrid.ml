@@ -10,6 +10,8 @@
    - the paranoid verifier catches a corrupted residency map
      ([Tier.unsafe_poke]) and a corrupted content-store refcount
      ([Caram.unsafe_poke]);
+   - the CI absorption gate passes on the figure's quick-scale sink and
+     fails on an under-threshold record or an empty sink;
    - [hybrid = none] leaves the serialized record shape untouched: no
      hyb_* metric fields, no -hyb name tag.  (The committed goldens —
      test/golden/determinism.jsonl and test/golden/fleet.jsonl — are
@@ -246,6 +248,45 @@ let test_none_invisible () =
   let a = Holes_exp.Hybrid_figure.absorption on.Holes_exp.Wear_policies.m in
   check bool "absorption in (0,1]" true (a > 0.0 && a <= 1.0)
 
+(* ---- the CI absorption gate ------------------------------------------ *)
+
+(* The figures-quick job's gate ([bench/main.exe hybrid-gate]) over the
+   hybrid figure's own quick-scale sink records passes; a forged
+   migrate+caram record under the threshold, alone, and an empty sink
+   both fail it. *)
+let test_absorption_gate () =
+  let module Hf = Holes_exp.Hybrid_figure in
+  let path = Filename.temp_file "holes_hybrid_gate" ".jsonl" in
+  let records =
+    Fun.protect
+      ~finally:(fun () ->
+        Holes_exp.Runner.set_sink None;
+        Sys.remove path)
+      (fun () ->
+        let sink = Holes_engine.Sink.create ~path ~progress:false () in
+        Holes_exp.Runner.set_sink (Some sink);
+        Fun.protect
+          ~finally:(fun () -> Holes_engine.Sink.close sink)
+          (fun () -> ignore (Hf.table ~params:{ Holes_exp.Runner.quick with jobs = 2 } ()));
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> ""))
+  in
+  (match Hf.absorption_gate records with
+  | Ok _ -> ()
+  | Error e -> failf "absorption gate failed on the figure's records: %s" e);
+  let forged =
+    Printf.sprintf "{\"config\":\"S-IX-L256%s\",\"metrics\":{\"hyb_absorption\":%g}}"
+      Hf.migrate_caram_tag
+      (Hf.absorption_threshold *. 0.99)
+  in
+  (match Hf.absorption_gate [ forged ] with
+  | Ok _ -> fail "absorption gate passed a migrate+caram row under the threshold"
+  | Error _ -> ());
+  match Hf.absorption_gate [] with
+  | Ok _ -> fail "absorption gate passed without migrate+caram rows"
+  | Error _ -> ()
+
 let suite =
   [
     ("hybrid policy CLI round-trips", `Quick, test_cli_roundtrip);
@@ -255,4 +296,6 @@ let suite =
     ("verifier catches a corrupted residency map", `Quick, test_verifier_catches_tier_poke);
     ("verifier catches a corrupted content store", `Quick, test_verifier_catches_caram_poke);
     ("hybrid=none leaves record shape and names untouched", `Quick, test_none_invisible);
+    ("absorption gate: figure sink passes, under-threshold and empty fail", `Quick,
+      test_absorption_gate);
   ]
