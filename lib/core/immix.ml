@@ -259,16 +259,18 @@ let install_block (t : t) : int =
 let rec take_relaxed_pages (t : t) (i : int) : bool =
   if i = Units.pages_per_block then true
   else
-    match Page_stock.take_relaxed t.stock with
-    | Some p ->
-        t.page_scratch.(i) <- p;
-        take_relaxed_pages t (i + 1)
-    | None ->
-        (* roll back *)
-        for j = 0 to i - 1 do
-          Page_stock.return_page t.stock t.page_scratch.(j)
-        done;
-        false
+    let p = Page_stock.take_relaxed t.stock in
+    if p >= 0 then begin
+      t.page_scratch.(i) <- p;
+      take_relaxed_pages t (i + 1)
+    end
+    else begin
+      (* roll back *)
+      for j = 0 to i - 1 do
+        Page_stock.return_page t.stock t.page_scratch.(j)
+      done;
+      false
+    end
 
 (* Assemble a fresh block from eight relaxed stock pages.  Returns the
    block index, or None when the stock cannot supply a block. *)

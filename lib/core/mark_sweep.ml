@@ -100,15 +100,17 @@ let carve_block (t : t) (k : int) : bool =
   let rec take i =
     if i = Units.pages_per_block then true
     else
-      match Page_stock.take_relaxed t.stock with
-      | Some p ->
-          pages.(i) <- p;
-          take (i + 1)
-      | None ->
-          for j = 0 to i - 1 do
-            Page_stock.return_page t.stock pages.(j)
-          done;
-          false
+      let p = Page_stock.take_relaxed t.stock in
+      if p >= 0 then begin
+        pages.(i) <- p;
+        take (i + 1)
+      end
+      else begin
+        for j = 0 to i - 1 do
+          Page_stock.return_page t.stock pages.(j)
+        done;
+        false
+      end
   in
   if not (take 0) then false
   else begin

@@ -349,13 +349,11 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
             p.Page_stock.usable_logical))
     stock.Page_stock.pages;
   let pool_check name ids pred =
-    List.iter
-      (fun id ->
+    Intvec.iter ids (fun id ->
         claim id;
         check c
           (pred stock.Page_stock.pages.(id))
           (fun () -> Printf.sprintf "page %d misfiled in %s pool" id name))
-      ids
   in
   pool_check "perfect" stock.Page_stock.free_perfect (fun p -> p.Page_stock.failed_lines = 0);
   pool_check "imperfect" stock.Page_stock.free_imperfect (fun p ->
@@ -365,10 +363,10 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
      legitimately owned by nobody for the rest of the run *)
   pool_check "repaid" stock.Page_stock.repaid (fun _ -> true);
   check c
-    (List.length stock.Page_stock.repaid = Page_stock.repaid_pages stock)
+    (Intvec.length stock.Page_stock.repaid = Page_stock.repaid_pages stock)
     (fun () ->
       Printf.sprintf "repaid list holds %d pages but repaid_pages=%d"
-        (List.length stock.Page_stock.repaid)
+        (Intvec.length stock.Page_stock.repaid)
         (Page_stock.repaid_pages stock));
   (* full ownership only holds when the Immix heap claimed its blocks;
      under mark-sweep its blocks are invisible here, so only require

@@ -28,15 +28,15 @@ type page = {
           a page with none is *dead* for this run and never circulates *)
 }
 
+(* The page pools are LIFO stacks of page ids ([Intvec]s: push and pop
+   at the end, no cell allocated per move), the top being the next page
+   drawn.  At creation the lowest address is on top. *)
 type t = {
   pages : page array;
   line_size : int;  (** collector logical line size, for deadness *)
-  mutable free_perfect : int list;  (** ascending address order *)
-  mutable free_imperfect : int list;  (** ascending address order *)
-  mutable dead : int list;  (** pages with no usable logical line *)
-  mutable n_free_perfect : int;  (** [List.length free_perfect], O(1) *)
-  mutable n_free_imperfect : int;  (** [List.length free_imperfect], O(1) *)
-  mutable n_dead : int;  (** [List.length dead], O(1) *)
+  free_perfect : Intvec.t;  (** stack; lowest address on top at creation *)
+  free_imperfect : Intvec.t;  (** stack; lowest address on top at creation *)
+  dead : Intvec.t;  (** pages with no usable logical line *)
   mutable free_usable_lines : int;
       (** sum over free (perfect + imperfect) pages of their non-failed
           PCM lines — kept incrementally so [free_usable_bytes], which
@@ -45,7 +45,7 @@ type t = {
   accounting : Holes_osal.Accounting.t;
   mutable borrowed_in_use : int;
   mutable repaid_pages : int;  (** pages surrendered to repay debt *)
-  mutable repaid : int list;
+  repaid : Intvec.t;
       (** ids of the surrendered pages: back with the OS, out of
           circulation for the rest of the run (the verifier accounts
           for them as a fourth page-ownership class) *)
@@ -96,39 +96,30 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
           usable_logical = count_usable_logical ~line_size bitmap;
         })
   in
-  let perfect = ref [] and imperfect = ref [] and dead = ref [] in
-  let n_perfect = ref 0 and n_imperfect = ref 0 and n_dead = ref 0 in
+  let perfect = Intvec.create () and imperfect = Intvec.create () and dead = Intvec.create () in
   let usable = ref 0 in
   for p = npages - 1 downto 0 do
     if pages.(p).failed_lines = 0 then begin
-      perfect := p :: !perfect;
-      incr n_perfect;
+      Intvec.push perfect p;
       usable := !usable + lines_per_page
     end
-    else if pages.(p).usable_logical = 0 then begin
-      dead := p :: !dead;
-      incr n_dead
-    end
+    else if pages.(p).usable_logical = 0 then Intvec.push dead p
     else begin
-      imperfect := p :: !imperfect;
-      incr n_imperfect;
+      Intvec.push imperfect p;
       usable := !usable + lines_per_page - pages.(p).failed_lines
     end
   done;
   {
     pages;
     line_size;
-    free_perfect = !perfect;
-    free_imperfect = !imperfect;
-    dead = !dead;
-    n_free_perfect = !n_perfect;
-    n_free_imperfect = !n_imperfect;
-    n_dead = !n_dead;
+    free_perfect = perfect;
+    free_imperfect = imperfect;
+    dead;
     free_usable_lines = !usable;
     accounting = Holes_osal.Accounting.create ();
     borrowed_in_use = 0;
     repaid_pages = 0;
-    repaid = [];
+    repaid = Intvec.create ();
     max_borrowed = max 16 npages;
     extra_free_bytes = (fun () -> 0);
   }
@@ -157,11 +148,11 @@ let page (t : t) (id : int) : page = t.pages.(id)
 
 let npages (t : t) : int = Array.length t.pages
 
-let free_perfect_count (t : t) : int = t.n_free_perfect
+let free_perfect_count (t : t) : int = Intvec.length t.free_perfect
 
-let free_imperfect_count (t : t) : int = t.n_free_imperfect
+let free_imperfect_count (t : t) : int = Intvec.length t.free_imperfect
 
-let free_pages (t : t) : int = t.n_free_perfect + t.n_free_imperfect
+let free_pages (t : t) : int = free_perfect_count t + free_imperfect_count t
 
 let accounting (t : t) : Holes_osal.Accounting.t = t.accounting
 
@@ -171,29 +162,27 @@ let accounting (t : t) : Holes_osal.Accounting.t = t.accounting
     free pools. *)
 let free_usable_bytes (t : t) : int = t.free_usable_lines * Holes_pcm.Geometry.line_bytes
 
-(** Draw one page for a relaxed allocator.  Imperfect pages first; a
-    perfect page is kept only if no debt is outstanding, otherwise it is
-    surrendered as repayment and the next page is drawn. *)
-let rec take_relaxed (t : t) : int option =
-  match t.free_imperfect with
-  | p :: rest ->
-      t.free_imperfect <- rest;
-      t.n_free_imperfect <- t.n_free_imperfect - 1;
-      t.free_usable_lines <- t.free_usable_lines - (lines_per_page - t.pages.(p).failed_lines);
-      Some p
-  | [] -> (
-      match t.free_perfect with
-      | [] -> None
-      | p :: rest -> (
-          t.free_perfect <- rest;
-          t.n_free_perfect <- t.n_free_perfect - 1;
-          t.free_usable_lines <- t.free_usable_lines - lines_per_page;
-          match Holes_osal.Accounting.relaxed_offer_perfect t.accounting with
-          | `Keep -> Some p
-          | `Decline ->
-              t.repaid_pages <- t.repaid_pages + 1;
-              t.repaid <- p :: t.repaid;
-              take_relaxed t))
+(** Draw one page for a relaxed allocator, or -1 when none is free.
+    Imperfect pages first; a perfect page is kept only if no debt is
+    outstanding, otherwise it is surrendered as repayment and the next
+    page is drawn. *)
+let rec take_relaxed (t : t) : int =
+  if not (Intvec.is_empty t.free_imperfect) then begin
+    let p = Intvec.pop_or t.free_imperfect ~default:(-1) in
+    t.free_usable_lines <- t.free_usable_lines - (lines_per_page - t.pages.(p).failed_lines);
+    p
+  end
+  else if Intvec.is_empty t.free_perfect then -1
+  else begin
+    let p = Intvec.pop_or t.free_perfect ~default:(-1) in
+    t.free_usable_lines <- t.free_usable_lines - lines_per_page;
+    match Holes_osal.Accounting.relaxed_offer_perfect t.accounting with
+    | `Keep -> p
+    | `Decline ->
+        t.repaid_pages <- t.repaid_pages + 1;
+        Intvec.push t.repaid p;
+        take_relaxed t
+  end
 
 type perfect_grant = Perfect of int | Borrowed | Exhausted
 
@@ -205,14 +194,13 @@ type perfect_grant = Perfect of int | Borrowed | Exhausted
     pages (and within the hard DRAM cap).  Otherwise the grant is
     [Exhausted] and the caller must collect or fail. *)
 let take_perfect (t : t) : perfect_grant =
-  match t.free_perfect with
-  | p :: rest ->
-      t.free_perfect <- rest;
-      t.n_free_perfect <- t.n_free_perfect - 1;
-      t.free_usable_lines <- t.free_usable_lines - lines_per_page;
-      Holes_osal.Accounting.fussy_request t.accounting ~pages:1 ~available:1;
-      Perfect p
-  | [] ->
+  if not (Intvec.is_empty t.free_perfect) then begin
+    let p = Intvec.pop_or t.free_perfect ~default:(-1) in
+    t.free_usable_lines <- t.free_usable_lines - lines_per_page;
+    Holes_osal.Accounting.fussy_request t.accounting ~pages:1 ~available:1;
+    Perfect p
+  end
+  else
       let free_budget_pages =
         free_pages t + (t.extra_free_bytes () / Holes_pcm.Geometry.page_bytes)
       in
@@ -230,22 +218,17 @@ let take_perfect (t : t) : perfect_grant =
 let return_page (t : t) (id : int) : unit =
   let p = t.pages.(id) in
   if p.failed_lines = 0 then begin
-    t.free_perfect <- id :: t.free_perfect;
-    t.n_free_perfect <- t.n_free_perfect + 1;
+    Intvec.push t.free_perfect id;
     t.free_usable_lines <- t.free_usable_lines + lines_per_page
   end
-  else if p.usable_logical = 0 then begin
-    t.dead <- id :: t.dead;
-    t.n_dead <- t.n_dead + 1
-  end
+  else if p.usable_logical = 0 then Intvec.push t.dead id
   else begin
-    t.free_imperfect <- id :: t.free_imperfect;
-    t.n_free_imperfect <- t.n_free_imperfect + 1;
+    Intvec.push t.free_imperfect id;
     t.free_usable_lines <- t.free_usable_lines + (lines_per_page - p.failed_lines)
   end
 
 (** Pages quarantined as fully unusable. *)
-let dead_count (t : t) : int = t.n_dead
+let dead_count (t : t) : int = Intvec.length t.dead
 
 (** Return a borrowed DRAM page (it leaves the process; debt remains
     until the relaxed allocator repays it). *)
@@ -266,26 +249,23 @@ let mark_line_failed (t : t) ~(id : int) ~(line : int) : unit =
   let p = t.pages.(id) in
   if not (Bitset.get p.bitmap line) then begin
     let was_perfect = p.failed_lines = 0 in
-    let in_perfect = was_perfect && List.mem id t.free_perfect in
-    let in_imperfect = (not was_perfect) && List.mem id t.free_imperfect in
+    let in_perfect = was_perfect && Intvec.mem t.free_perfect id in
+    let in_imperfect = (not was_perfect) && Intvec.mem t.free_imperfect id in
     let old_usable = lines_per_page - p.failed_lines in
     Bitset.set p.bitmap line;
     p.failed_lines <- p.failed_lines + 1;
     p.usable_logical <- count_usable_logical ~line_size:t.line_size p.bitmap;
     if in_perfect then begin
-      t.free_perfect <- List.filter (fun x -> x <> id) t.free_perfect;
-      t.n_free_perfect <- t.n_free_perfect - 1;
+      Intvec.filter_in_place t.free_perfect (fun x -> x <> id);
       t.free_usable_lines <- t.free_usable_lines - old_usable;
       (* return_page pushes it to the right pool and recredits *)
       return_page t id
     end
     else if in_imperfect then begin
       if p.usable_logical = 0 then begin
-        t.free_imperfect <- List.filter (fun x -> x <> id) t.free_imperfect;
-        t.n_free_imperfect <- t.n_free_imperfect - 1;
+        Intvec.filter_in_place t.free_imperfect (fun x -> x <> id);
         t.free_usable_lines <- t.free_usable_lines - old_usable;
-        t.dead <- id :: t.dead;
-        t.n_dead <- t.n_dead + 1
+        Intvec.push t.dead id
       end
       else t.free_usable_lines <- t.free_usable_lines - 1
     end

@@ -33,12 +33,12 @@ type page = {
 type t = {
   pages : page array;
   line_size : int;  (** collector logical line size, for deadness *)
-  mutable free_perfect : int list;  (** ascending address order *)
-  mutable free_imperfect : int list;  (** ascending address order *)
-  mutable dead : int list;  (** pages with no usable logical line *)
-  mutable n_free_perfect : int;  (** [List.length free_perfect], O(1) *)
-  mutable n_free_imperfect : int;  (** [List.length free_imperfect], O(1) *)
-  mutable n_dead : int;  (** [List.length dead], O(1) *)
+  free_perfect : Holes_stdx.Intvec.t;
+      (** LIFO stack of page ids, the top drawn next; lowest address on
+          top at creation (push/pop allocate no list cells, so a block
+          assembly that takes and returns pages allocates nothing) *)
+  free_imperfect : Holes_stdx.Intvec.t;  (** same discipline as [free_perfect] *)
+  dead : Holes_stdx.Intvec.t;  (** pages with no usable logical line *)
   mutable free_usable_lines : int;
       (** sum over free (perfect + imperfect) pages of their non-failed
           PCM lines — kept incrementally so [free_usable_bytes], which
@@ -47,7 +47,7 @@ type t = {
   accounting : Holes_osal.Accounting.t;
   mutable borrowed_in_use : int;
   mutable repaid_pages : int;  (** pages surrendered to repay debt *)
-  mutable repaid : int list;
+  repaid : Holes_stdx.Intvec.t;
       (** ids of the surrendered pages: back with the OS, out of
           circulation for the rest of the run (the verifier accounts
           for them as a fourth page-ownership class) *)
@@ -96,10 +96,11 @@ val free_usable_bytes : t -> int
     line total is maintained incrementally as pages enter and leave the
     free pools. *)
 
-val take_relaxed : t -> int option
-(** Draw one page for a relaxed allocator.  Imperfect pages first; a
-    perfect page is kept only if no debt is outstanding, otherwise it is
-    surrendered as repayment and the next page is drawn. *)
+val take_relaxed : t -> int
+(** Draw one page for a relaxed allocator, or -1 when none is free.
+    Imperfect pages first; a perfect page is kept only if no debt is
+    outstanding, otherwise it is surrendered as repayment and the next
+    page is drawn. *)
 
 type perfect_grant = Perfect of int | Borrowed | Exhausted
 

@@ -76,6 +76,11 @@ let filter_in_place (t : t) (p : int -> bool) : unit =
   done;
   t.len <- !j
 
+(** Does [t] hold [x]? *)
+let mem (t : t) (x : int) : bool =
+  let rec go i = i < t.len && (Array.unsafe_get t.data i = x || go (i + 1)) in
+  go 0
+
 (** [assign dst src] makes [dst] hold [src]'s elements, in order,
     reusing [dst]'s storage when it is large enough. *)
 let assign (dst : t) (src : t) : unit =

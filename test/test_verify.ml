@@ -10,6 +10,7 @@ module Immix = Holes.Immix
 module Block = Holes_heap.Block
 module Page_stock = Holes_heap.Page_stock
 module Bitset = Holes_stdx.Bitset
+module Intvec = Holes_stdx.Intvec
 module Torture = Holes_exp.Torture
 
 let check = Alcotest.check
@@ -104,12 +105,11 @@ let test_catches_pool_double_claim () =
   let vm = make_vm () in
   expect_clean vm;
   let stock = Vm.stock vm in
-  (match stock.Page_stock.free_imperfect with
-  | p :: _ -> stock.Page_stock.free_imperfect <- p :: stock.Page_stock.free_imperfect
-  | [] -> (
-      match stock.Page_stock.free_perfect with
-      | p :: _ -> stock.Page_stock.free_perfect <- p :: stock.Page_stock.free_perfect
-      | [] -> Alcotest.fail "no free pages to duplicate"));
+  (* push a second copy of a pool's top page *)
+  let dup pool = Intvec.push pool (Intvec.get pool (Intvec.length pool - 1)) in
+  if not (Intvec.is_empty stock.Page_stock.free_imperfect) then dup stock.Page_stock.free_imperfect
+  else if not (Intvec.is_empty stock.Page_stock.free_perfect) then dup stock.Page_stock.free_perfect
+  else Alcotest.fail "no free pages to duplicate";
   expect_violation vm "page ownership"
 
 let test_catches_accounting_imbalance () =
