@@ -42,9 +42,10 @@ check: build test lint-md fmt
 # Hot-path microbenchmarks (DESIGN.md §9, §13-14): rewrites
 # BENCH_hotpath.json (ns/op and exact minor words/op per kernel),
 # preserving its before/after baseline fields when present.  Benchmarks
-# build with --profile release, which is also the repository default
-# (dune-workspace): dune's dev profile compiles with -opaque, which
-# blocks cross-module inlining into the accessor-heavy hot paths.
+# build with --profile release: dune's dev profile compiles with
+# -opaque, which blocks cross-module inlining into the accessor-heavy
+# hot paths (the repository's default profile, strict, generates the
+# same code as release; see dune-workspace).
 bench:
 	dune exec --profile release bench/microbench.exe -- --before BENCH_hotpath.json --out BENCH_hotpath.json
 

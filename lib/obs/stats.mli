@@ -13,7 +13,7 @@
     [bucket_of] reads the IEEE exponent instead of calling
     [Float.frexp] (whose tuple result allocates), and both are inlined,
     so the observed value is never boxed to cross the call — in an
-    optimizing build, which is the default release profile (dev's
+    optimizing build, which the default [strict] profile is (dev's
     [-opaque] blocks the inlining).  The "zero-allocation step" tests in
     [test_hotpath.ml] enforce it, and [make bench-check] gates the
     [stats_observe] kernel's minor words per call exactly.

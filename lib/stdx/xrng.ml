@@ -23,7 +23,7 @@
     Zero-allocation contract: [step], [bits53], [float], [int] and
     [bool] allocate no minor-heap words.  [bits53] and [float] are
     [[@inline]], so a float draw is never boxed on its way out; that
-    holds in an optimizing build (the default release profile, see
+    holds in an optimizing build (the default [strict] profile, see
     [dune-workspace]), where cross-module inlining is on.  The
     "zero-allocation step" tests in [test_hotpath.ml] enforce it. *)
 

@@ -505,7 +505,8 @@ let test_golden_determinism () =
 
    The property needs cross-module inlining ([Xrng.float] returns a
    float, which a non-inlined call boxes), so it holds in an optimizing
-   build: the repository's default release profile (dune-workspace).
+   build: the repository's default [strict] profile (dune-workspace) or
+   [--profile release].
    Dune's dev profile compiles with -opaque, which disables that
    inlining, and these checks fail there by construction. *)
 
