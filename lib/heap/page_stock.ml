@@ -96,7 +96,16 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
           usable_logical = count_usable_logical ~line_size bitmap;
         })
   in
-  let perfect = Intvec.create () and imperfect = Intvec.create () and dead = Intvec.create () in
+  (* size each pool exactly, so filling it never regrows *)
+  let n_perfect = ref 0 and n_dead = ref 0 in
+  Array.iter
+    (fun pg ->
+      if pg.failed_lines = 0 then incr n_perfect
+      else if pg.usable_logical = 0 then incr n_dead)
+    pages;
+  let perfect = Intvec.create ~capacity:!n_perfect ()
+  and imperfect = Intvec.create ~capacity:(npages - !n_perfect - !n_dead) ()
+  and dead = Intvec.create ~capacity:!n_dead () in
   let usable = ref 0 in
   for p = npages - 1 downto 0 do
     if pages.(p).failed_lines = 0 then begin
