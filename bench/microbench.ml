@@ -171,6 +171,72 @@ let gc_pause_kernel () : int * (unit -> unit) =
       Array.iteri (fun i id -> if i mod 2 = 0 then Holes.Vm.kill vm id) ids;
       Holes.Vm.collect vm ~full:true )
 
+(* gc-slice: one slice of an incremental cycle at the fleet's budget
+   (256 mark-queue entries), over a steady heap of 10k live small
+   objects — the snapshot, mark and sweep slices and each cycle's
+   closing work, per slice.  A slice allocates its pause record;
+   everything else a cycle allocates is per cycle. *)
+let gc_slice_kernel () : int * (unit -> unit) =
+  let cfg = { Holes.Config.default with Holes.Config.gc_slice = 256 } in
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(4 lsl 20) () in
+  let ids = Array.init 20_000 (fun _ -> Holes.Vm.alloc vm ~size:48 ()) in
+  Array.iteri (fun i id -> if i land 1 = 0 then Holes.Vm.kill vm id) ids;
+  Holes.Vm.collect vm ~full:true;
+  let m = Holes.Vm.metrics vm in
+  let s0 = m.Holes.Metrics.gc_increments in
+  Holes.Vm.collect vm ~full:true;
+  let per_cycle = m.Holes.Metrics.gc_increments - s0 in
+  let cycles = 8 in
+  ( cycles * per_cycle,
+    fun () ->
+      for _ = 1 to cycles do
+        Holes.Vm.collect vm ~full:true
+      done )
+
+(* wear-out: one worn-out line through the whole chain — device write
+   path, failure buffer, interrupt queue, OS service and the up-call
+   into the runtime's line retirement — per op, including the stores
+   that wear the line down (endurance 8, six correction entries).  The
+   heap assembles no block, so each retirement lands on a free stock
+   page, where most of a failure storm's damage falls.  Setup wears
+   out line 0 of every page (committing the arena chunks and moving
+   each page to the imperfect pool); the timed ops then take line 1,
+   then line 2, of page after page, inside logical lines already
+   failed, so no op regrows a pool and each allocates exactly the
+   chain's words. *)
+let wear_out_kernel () : int * (unit -> unit) =
+  let d = Holes.Config.default_device in
+  let wear = { d.Holes.Config.wear with Holes_pcm.Wear.mean_endurance = 8.0 } in
+  let cfg =
+    {
+      Holes.Config.default with
+      Holes.Config.backend = Holes.Config.Device { d with Holes.Config.wear };
+      gc_slice = 256;
+    }
+  in
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(4 lsl 20) () in
+  let st = Option.get (Holes.Vm.device_state vm) in
+  let module Mb = Holes.Memory_backend in
+  let lines = Holes_pcm.Geometry.lines_per_page in
+  let npages = Array.length st.Mb.virt_of_stock in
+  let wear_out ~stock_page ~line =
+    while Mb.device_write st ~stock_page ~line = Mb.Stored do
+      ()
+    done
+  in
+  for sp = 0 to npages - 1 do
+    wear_out ~stock_page:sp ~line:0
+  done;
+  let next = ref 0 in
+  let per_run = 256 in
+  ( per_run,
+    fun () ->
+      for _ = 1 to per_run do
+        let stock_page = !next mod npages and line = 1 + (!next / npages) in
+        incr next;
+        if line < lines then wear_out ~stock_page ~line
+      done )
+
 (* device-write: the payload-store write path (no wear-outs: endurance is
    the production 1e8, so this isolates the arena from failure handling) *)
 let device_write_kernel () : int * (unit -> unit) =
@@ -345,7 +411,9 @@ let kernels : (string * (unit -> int * (unit -> unit))) list =
     ("alloc_small", alloc_kernel);
     ("full_gc", full_gc_kernel);
     ("gc_pause", gc_pause_kernel);
+    ("gc_slice", gc_slice_kernel);
     ("device_write", device_write_kernel);
+    ("wear_out", wear_out_kernel);
     ("translate", translate_kernel);
     ("migrate", migrate_kernel);
     ("dedup", dedup_kernel);

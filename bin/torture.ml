@@ -52,9 +52,9 @@ let run (seeds_spec : string) (steps : int) (quiet : bool) : int =
           if (not quiet) || o.T.violation <> None then
             Printf.printf
               "seed %3d  %-34s %-9s steps=%d allocs=%d inject=%d churn=%d hyb=%d inc=%d \
-               gcs=%d verifies=%d checks=%d\n"
+               dynfail=%d gcs=%d verifies=%d checks=%d\n"
               o.T.seed o.T.config status o.T.steps_run o.T.allocs o.T.injections o.T.churns
-              o.T.hyb_toggles o.T.inc_toggles o.T.gcs
+              o.T.hyb_toggles o.T.inc_toggles o.T.dynamic_failures o.T.gcs
               (o.T.explicit_verifies + o.T.verify_passes)
               o.T.verify_checks;
           match o.T.violation with

@@ -51,12 +51,12 @@ let () =
     | Pcm.Device.Stalled ->
         (* the buffer hit its watermark: the OS must service the interrupt *)
         incr stalls;
-        ignore (Osal.Interrupts.service handler));
+        Osal.Interrupts.drain handler);
     if Osal.Interrupts.has_pending handler && !writes mod 64 = 0 then
-      ignore (Osal.Interrupts.service handler);
+      Osal.Interrupts.drain handler;
     incr writes
   done;
-  ignore (Osal.Interrupts.service handler);
+  Osal.Interrupts.drain handler;
 
   let stats = Pcm.Device.stats device in
   Printf.printf "writes issued:        %d\n" stats.Pcm.Device.writes;

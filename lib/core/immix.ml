@@ -42,14 +42,16 @@ type t = {
   mutable nblocks : int;  (** live (assembled, not dissolved) blocks *)
   page_owner : int array;
       (** stock page id -> owning block index, -1 when unassembled: the
-          O(1) reverse index behind [find_page_owner], replacing the
+          O(1) reverse index behind [page_line_addr], replacing the
           all-blocks × all-pages scan the OS failure up-call used to
           pay *)
   mutable next_block_index : int;
-  mutable spare : Block.t list;
-      (** dissolved blocks, most recent first: the next assembly takes
-          one over ([Block.create ~reuse]) so its line maps, live counts
-          and grown object list are reused rather than reallocated *)
+  mutable spare : Block.t array;
+      (** dissolved blocks, a stack in [spare.(0 .. nspare - 1)] (most
+          recent on top): the next assembly takes one over
+          ([Block.create ~reuse]) so its line maps, live counts and grown
+          object list are reused rather than reallocated *)
+  mutable nspare : int;
   page_scratch : int array;  (** the pages of a block being assembled *)
   recyclable : Intvec.t;
       (** block indices with free lines, address order; consumed front
@@ -60,6 +62,9 @@ type t = {
       (** the snapshot work-list: every slot id, enqueued in ascending-id
           order, so marking runs over a dense int array *)
   evac_ids : Intvec.t;  (** evacuation scratch: the object list being evacuated *)
+  occupants : Intvec.t;
+      (** line-retirement scratch: the objects overlapping a failing
+          line, in object-list order *)
   (* bump-pointer state: main cursor *)
   mutable cur_block : int;  (** -1 = none *)
   mutable cursor : int;
@@ -111,11 +116,13 @@ type t = {
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)
-  mutable pending_retire : (int * int * int) list;
-      (** deferred dynamic-failure line retirements, newest first:
-          (heap addr, stock page id or -1, 64 B line within the page) —
-          completed by the defrag phase, so a failure storm never forces
-          a monolithic evacuation pause *)
+  pending_retire : Intvec.t;
+      (** deferred dynamic-failure line retirements, a FIFO of flat
+          (heap addr, stock page id or -1, 64 B line within the page)
+          triples read from [retire_pos] — completed by the defrag
+          phase, so a failure storm never forces a monolithic evacuation
+          pause *)
+  mutable retire_pos : int;  (** read cursor into [pending_retire] *)
   mutable inc_trigger : int;  (** allocations since the last proactive-start check *)
   tracer : Trace.view;  (** gc/alloc-lane events: phase spans, slow paths *)
 }
@@ -137,12 +144,14 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
     nblocks = 0;
     page_owner = Array.make (Page_stock.npages stock) (-1);
     next_block_index = 0;
-    spare = [];
+    spare = [||];
+    nspare = 0;
     page_scratch = Array.make Units.pages_per_block (-2);
     recyclable = Intvec.create ();
     recyclable_pos = 0;
     mark_queue = Intvec.create ~capacity:256 ();
     evac_ids = Intvec.create ();
+    occupants = Intvec.create ();
     cur_block = -1;
     cursor = 0;
     limit = 0;
@@ -169,7 +178,8 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
       inc_nursery_len = 0;
       inc_marked = 0;
       inc_released = 0;
-      pending_retire = [];
+      pending_retire = Intvec.create ();
+      retire_pos = 0;
       inc_trigger = 0;
       tracer;
     }
@@ -219,11 +229,11 @@ let install_block (t : t) : int =
   let index = t.next_block_index in
   t.next_block_index <- t.next_block_index + 1;
   let reuse =
-    match t.spare with
-    | r :: rest ->
-        t.spare <- rest;
-        Some r
-    | [] -> None
+    if t.nspare = 0 then None
+    else begin
+      t.nspare <- t.nspare - 1;
+      Some t.spare.(t.nspare)
+    end
   in
   let pages =
     match reuse with
@@ -312,17 +322,23 @@ let assemble_perfect_block (t : t) : int option =
 
 (* Dissolve a completely free block, returning its pages to the stock. *)
 let dissolve_block (t : t) (b : Block.t) : unit =
-  Array.iter
-    (fun id ->
-      if id = -1 then Page_stock.return_borrowed t.stock
-      else begin
-        t.page_owner.(id) <- -1;
-        Page_stock.return_page t.stock id
-      end)
-    b.Block.pages;
+  for i = 0 to Array.length b.Block.pages - 1 do
+    let id = b.Block.pages.(i) in
+    if id = -1 then Page_stock.return_borrowed t.stock
+    else begin
+      t.page_owner.(id) <- -1;
+      Page_stock.return_page t.stock id
+    end
+  done;
   t.table.(b.Block.index) <- None;
   t.nblocks <- t.nblocks - 1;
-  t.spare <- b :: t.spare
+  if t.nspare = Array.length t.spare then begin
+    let grown = Array.make (max 8 (2 * t.nspare)) b in
+    Array.blit t.spare 0 grown 0 t.nspare;
+    t.spare <- grown
+  end;
+  t.spare.(t.nspare) <- b;
+  t.nspare <- t.nspare + 1
 
 (* ------------------------------------------------------------------ *)
 (* Bump allocation                                                     *)
@@ -538,8 +554,14 @@ let alloc_nogc (t : t) ~(size : int) : int =
 (* ------------------------------------------------------------------ *)
 
 let total_free_bytes (t : t) : int =
+  (* a loop, not [iter_blocks]: the incremental pulse asks every 64
+     allocations, and a closure over the sum would allocate each time *)
   let blocks_free = ref 0 in
-  iter_blocks t (fun b -> blocks_free := !blocks_free + Block.free_bytes b);
+  for i = 0 to t.next_block_index - 1 do
+    match Array.unsafe_get t.table i with
+    | Some b -> blocks_free := !blocks_free + Block.free_bytes b
+    | None -> ()
+  done;
   Page_stock.free_usable_bytes t.stock + !blocks_free
 
 let reset_cursors (t : t) : unit =
@@ -744,6 +766,10 @@ let inc_defrag = 3
 
 let incremental_active (t : t) : bool = t.inc_phase <> inc_idle
 
+(* Deferred line retirements not yet completed (queued triples past the
+   read cursor). *)
+let pending_retirements (t : t) : int = (Intvec.length t.pending_retire - t.retire_pos) / 3
+
 (* Close bump cursors whose run overlaps the line [line_lo, line_hi) of
    block [bi]: the allocator must not hand out a failing line. *)
 let close_cursors_over (t : t) ~(bi : int) ~(line_lo : int) ~(line_hi : int) : unit =
@@ -758,20 +784,64 @@ let close_cursors_over (t : t) ~(bi : int) ~(line_lo : int) ~(line_hi : int) : u
     t.ovf_limit <- 0
   end
 
-(* The uncollected (live or dead-but-unreleased) objects of [b] that
-   overlap the line [line_lo, line_hi), last-listed first. *)
-let line_occupants (t : t) (b : Block.t) ~(line_lo : int) ~(line_hi : int) : int list =
-  let acc = ref [] in
-  Intvec.iter b.Block.objs (fun id ->
-      let oa = Object_table.addr t.objects id in
-      if oa >= 0 && not (Object_table.is_los t.objects id) then begin
-        let oe = oa + Object_table.size t.objects id in
-        if oa / block_bytes = b.Block.index && oa < line_hi && line_lo < oe then acc := id :: !acc
-      end);
-  !acc
+(* Collect into [t.occupants], in object-list order, the uncollected
+   (live or dead-but-unreleased) objects of [b] that overlap the line
+   [line_lo, line_hi).  Answers whether one of them is alive and pinned. *)
+let line_occupants (t : t) (b : Block.t) ~(line_lo : int) ~(line_hi : int) : bool =
+  let occ = t.occupants and objs = b.Block.objs in
+  Intvec.clear occ;
+  let pinned = ref false in
+  for i = 0 to Intvec.length objs - 1 do
+    let id = Intvec.unsafe_get objs i in
+    let oa = Object_table.addr t.objects id in
+    if oa >= 0 && not (Object_table.is_los t.objects id) then begin
+      let oe = oa + Object_table.size t.objects id in
+      if oa / block_bytes = b.Block.index && oa < line_hi && line_lo < oe then begin
+        Intvec.push occ id;
+        if Object_table.is_alive t.objects id && Object_table.is_pinned t.objects id then
+          pinned := true
+      end
+    end
+  done;
+  !pinned
 
-let pinned_alive (t : t) (id : int) : bool =
-  Object_table.is_alive t.objects id && Object_table.is_pinned t.objects id
+(* Move occupant [id] off the line [line_lo, line_hi) of block [b]:
+   alive, it is relocated (through the perfect-block fallback if
+   imperfect memory cannot hold it); dead-uncollected, it is released. *)
+let evict_occupant (t : t) (w : Cost.weights) (b : Block.t) ~(line_lo : int) ~(line_hi : int)
+    (id : int) : unit =
+  (* re-resolve: an earlier relocation may have moved it already, and
+     ids can repeat in [objs] *)
+  let oa = Object_table.addr t.objects id in
+  if oa >= 0 && oa / block_bytes = b.Block.index && oa < line_hi
+     && line_lo < oa + Object_table.size t.objects id
+  then
+    if Object_table.is_alive t.objects id then begin
+      let size = Object_table.size t.objects id in
+      let new_addr =
+        let a = alloc_nogc t ~size in
+        if a >= 0 then a else alloc_medium_perfect t ~size
+      in
+      if new_addr < 0 then begin
+        t.metrics.Metrics.out_of_memory <- true;
+        t.metrics.Metrics.oom_request <- size;
+        raise Out_of_memory
+      end
+      else begin
+        Block.remove_object_lines b ~addr:oa ~size;
+        Object_table.relocate t.objects id ~new_addr;
+        Intvec.push (block_of_addr t new_addr).Block.objs id;
+        Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
+        t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
+        t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
+      end
+    end
+    else begin
+      (* dead-but-uncollected: reclaim it now, as the collection
+         preceding a stop-the-world retirement would have *)
+      Block.remove_object_lines b ~addr:oa ~size:(Object_table.size t.objects id);
+      Object_table.release t.objects id
+    end
 
 (* Complete the retirement of the 64 B line behind [addr]: close bump
    cursors over the line, relocate every object still overlapping it
@@ -796,13 +866,11 @@ let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 
   (match block_opt t (addr / block_bytes) with
   | None -> ()
   | Some b ->
-      let bi = b.Block.index in
       let line = Block.line_of_offset b (addr - b.Block.base) in
       let line_lo = b.Block.base + (line * b.Block.line_size) in
       let line_hi = line_lo + b.Block.line_size in
-      close_cursors_over t ~bi ~line_lo ~line_hi;
-      let occupants = line_occupants t b ~line_lo ~line_hi in
-      if List.exists (pinned_alive t) occupants then begin
+      close_cursors_over t ~bi:b.Block.index ~line_lo ~line_hi;
+      if line_occupants t b ~line_lo ~line_hi then begin
         masked := true;
         Cost.charge t.cost
           (w.Cost.perfect_request +. w.Cost.dram_borrow
@@ -811,45 +879,15 @@ let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 
           t.metrics.Metrics.bytes_copied + Holes_pcm.Geometry.page_bytes
       end
       else begin
-      List.iter
-        (fun id ->
-          (* re-resolve: an earlier relocation in this loop may have
-             moved it already, and ids can repeat in [objs] *)
-          let oa = Object_table.addr t.objects id in
-          if oa >= 0 && oa / block_bytes = bi && oa < line_hi
-             && line_lo < oa + Object_table.size t.objects id
-          then
-            if Object_table.is_alive t.objects id then begin
-              let size = Object_table.size t.objects id in
-              let new_addr =
-                let a = alloc_nogc t ~size in
-                if a >= 0 then a else alloc_medium_perfect t ~size
-              in
-              if new_addr < 0 then begin
-                t.metrics.Metrics.out_of_memory <- true;
-                t.metrics.Metrics.oom_request <- size;
-                raise Out_of_memory
-              end
-              else begin
-                Block.remove_object_lines b ~addr:oa ~size;
-                Object_table.relocate t.objects id ~new_addr;
-                Intvec.push (block_of_addr t new_addr).Block.objs id;
-                Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-                t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
-                t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
-              end
-            end
-            else begin
-              (* dead-but-uncollected: reclaim it now, as the collection
-                 preceding a stop-the-world retirement would have *)
-              Block.remove_object_lines b ~addr:oa
-                ~size:(Object_table.size t.objects id);
-              Object_table.release t.objects id
-            end)
-        (if last_listed_first then occupants else List.rev occupants);
-      match Block.fail_line b ~line with
-      | `Already_failed | `Was_free -> ()
-      | `Was_live -> assert false
+        let occ = t.occupants in
+        let n = Intvec.length occ in
+        for k = 0 to n - 1 do
+          evict_occupant t w b ~line_lo ~line_hi
+            (Intvec.unsafe_get occ (if last_listed_first then n - 1 - k else k))
+        done;
+        match Block.fail_line b ~line with
+        | `Already_failed | `Was_free -> ()
+        | `Was_live -> assert false
       end);
   if (not !masked) && stock_page >= 0 then
     Page_stock.mark_line_failed t.stock ~id:stock_page ~line:line64
@@ -940,7 +978,7 @@ let mark_slice (t : t) (w : Cost.weights) : unit =
 let finish_cycle_end (t : t) : unit =
   assert (t.inc_marked + t.inc_released = t.inc_snapshot_len);
   assert (t.inc_candidates = []);
-  assert (t.pending_retire = []);
+  assert (pending_retirements t = 0);
   (* snapshot-prefix nursery entries were all processed (un-flagged or
      released); entries pushed mid-cycle stay for the next nursery
      collection, as do their remset records *)
@@ -957,9 +995,27 @@ let finish_cycle_end (t : t) : unit =
    and sweeps the rest per block, and accumulates the recyclable
    selection into [inc_recyclable], installed when the pass ends.
    Defrag candidates are neither dissolved nor made recyclable. *)
+let rec is_candidate (bi : int) (candidates : int list) : bool =
+  match candidates with [] -> false | c :: rest -> c = bi || is_candidate bi rest
+
+(* Drop the stale ids (released, or relocated out of block [bi]) from
+   [b]'s object list, keeping the order of the rest.  A top-level loop:
+   a filter closure would allocate on every swept block. *)
+let drop_stale_ids (t : t) (b : Block.t) (bi : int) : unit =
+  let objs = b.Block.objs in
+  let j = ref 0 in
+  for i = 0 to Intvec.length objs - 1 do
+    let id = Intvec.unsafe_get objs i in
+    let a = Object_table.addr t.objects id in
+    if a >= 0 && (not (Object_table.is_los t.objects id)) && a / block_bytes = bi then begin
+      Intvec.set objs !j id;
+      incr j
+    end
+  done;
+  Intvec.truncate objs !j
+
 let sweep_slice (t : t) (w : Cost.weights) : unit =
   let per_slice = if t.whole then max_int else max 1 (t.gc_slice / 128) in
-  let is_candidate bi = List.mem bi t.inc_candidates in
   let swept = ref 0 in
   while !swept < per_slice && t.inc_pos < t.next_block_index do
     (match Array.unsafe_get t.table t.inc_pos with
@@ -967,7 +1023,7 @@ let sweep_slice (t : t) (w : Cost.weights) : unit =
     | Some b ->
         let bi = b.Block.index in
         if Block.is_empty b && bi <> t.cur_block && bi <> t.ovf_block
-           && not (is_candidate bi)
+           && not (is_candidate bi t.inc_candidates)
         then dissolve_block t b
         else begin
           Cost.charge t.cost (w.Cost.sweep_line *. float_of_int b.Block.nlines);
@@ -975,13 +1031,8 @@ let sweep_slice (t : t) (w : Cost.weights) : unit =
           (* drop stale ids (released or relocated away) so the per-block
              object list cannot grow without bound across cycles; a
              whole cycle's mark has just rebuilt the lists exactly *)
-          if not t.whole then
-            Intvec.filter_in_place b.Block.objs (fun id ->
-                let a = Object_table.addr t.objects id in
-                a >= 0
-                && (not (Object_table.is_los t.objects id))
-                && a / block_bytes = bi);
-          if free > 0 && (not (is_candidate bi)) && bi <> t.cur_block
+          if not t.whole then drop_stale_ids t b bi;
+          if free > 0 && (not (is_candidate bi t.inc_candidates)) && bi <> t.cur_block
              && bi <> t.ovf_block
           then begin
             Block.set_recyclable b true;
@@ -997,8 +1048,20 @@ let sweep_slice (t : t) (w : Cost.weights) : unit =
     Intvec.iter t.inc_recyclable (fun bi -> Intvec.push t.recyclable bi);
     Intvec.clear t.inc_recyclable;
     t.recyclable_pos <- 0;
-    if t.inc_candidates = [] && t.pending_retire = [] then finish_cycle_end t
+    if t.inc_candidates = [] && pending_retirements t = 0 then finish_cycle_end t
     else t.inc_phase <- inc_defrag
+  end
+
+(* Complete up to [n] queued retirements, oldest first, reading no
+   further than queue offset [stop]. *)
+let rec drain_retirements (t : t) (n : int) ~(stop : int) : unit =
+  if n > 0 && t.retire_pos < stop then begin
+    let q = t.pending_retire and i = t.retire_pos in
+    t.retire_pos <- i + 3;
+    complete_line_retirement t ~addr:(Intvec.unsafe_get q i)
+      ~stock_page:(Intvec.unsafe_get q (i + 1)) ~line64:(Intvec.unsafe_get q (i + 2))
+      ~last_listed_first:false;
+    drain_retirements t (n - 1) ~stop
   end
 
 (* One step of the defrag phase: evacuate one candidate block; once the
@@ -1013,20 +1076,24 @@ let defrag_slice (t : t) (_w : Cost.weights) : unit =
       (match block_opt t bi with
       | None -> ()
       | Some b -> evacuate_block t b)
-  | [] when t.pending_retire <> [] ->
+  | [] when pending_retirements t > 0 -> (
       (* oldest first; retirements arriving mid-slice (a relocation
-         store wearing out another line) are re-queued behind the
-         unprocessed remainder *)
-      let pending = List.rev t.pending_retire in
-      t.pending_retire <- [];
-      let rec drain n = function
-        | (addr, stock_page, line64) :: rest when n > 0 ->
-            complete_line_retirement t ~addr ~stock_page ~line64 ~last_listed_first:false;
-            drain (n - 1) rest
-        | rest -> rest
-      in
-      let rest = drain (max 1 (t.gc_slice / 128)) pending in
-      t.pending_retire <- t.pending_retire @ List.rev rest
+         store wearing out another line) queue behind the unprocessed
+         remainder *)
+      let q = t.pending_retire in
+      let queued = Intvec.length q in
+      match drain_retirements t (max 1 (t.gc_slice / 128)) ~stop:queued with
+      | () ->
+          if t.retire_pos = Intvec.length q then begin
+            Intvec.clear q;
+            t.retire_pos <- 0
+          end
+      | exception e ->
+          (* a retirement that cannot relocate its occupants (the heap
+             is out of memory) abandons every retirement queued when
+             the slice began; later arrivals stay queued *)
+          t.retire_pos <- queued;
+          raise e)
   | [] ->
       dissolve_empty_and_rebuild t;
       finish_cycle_end t
@@ -1248,14 +1315,16 @@ let dynamic_failure (t : t) ~(addr : int) : unit =
       let line_lo = b.Block.base + (Block.line_of_offset b off * b.Block.line_size) in
       let line_hi = line_lo + b.Block.line_size in
       close_cursors_over t ~bi:b.Block.index ~line_lo ~line_hi;
-      let occupants = line_occupants t b ~line_lo ~line_hi in
-      if occupants = [] || List.exists (pinned_alive t) occupants then
+      let pinned = line_occupants t b ~line_lo ~line_hi in
+      if pinned || Intvec.is_empty t.occupants then
         (* nothing to move, or a pinned object the OS masks *)
         complete_line_retirement t ~addr ~stock_page ~line64 ~last_listed_first:false
       else begin
         Block.set_evacuate b true;
         if t.gc_slice > 0 then begin
-          t.pending_retire <- (addr, stock_page, line64) :: t.pending_retire;
+          Intvec.push t.pending_retire addr;
+          Intvec.push t.pending_retire stock_page;
+          Intvec.push t.pending_retire line64;
           if not (incremental_active t) then start_cycle t
         end
         else begin
@@ -1264,22 +1333,30 @@ let dynamic_failure (t : t) ~(addr : int) : unit =
         end
       end
 
-(** The assembled block (and page index within it) backed by stock page
-    [page], if any — the reverse lookup the OS failure up-call needs to
-    turn a page/line pair back into a heap address. *)
-let find_page_owner (t : t) ~(page : int) : (Block.t * int) option =
-  if page < 0 || page >= Array.length t.page_owner then None
+(* position of stock page [page] within block [b]'s pages, or -1 *)
+let rec page_pos (b : Block.t) ~(page : int) (i : int) : int =
+  if i >= Array.length b.Block.pages then -1
+  else if b.Block.pages.(i) = page then i
+  else page_pos b ~page (i + 1)
+
+(** The heap address of 64 B line [line] of stock page [page] when an
+    assembled block holds the page, else -1 — the reverse lookup the OS
+    failure up-call needs to turn a page/line pair back into a heap
+    address. *)
+let page_line_addr (t : t) ~(page : int) ~(line : int) : int =
+  if page < 0 || page >= Array.length t.page_owner then -1
   else
-    match block_opt t t.page_owner.(page) with
-    | None -> None
-    | Some b ->
-        (* position within the block's eight pages *)
-        let rec pos i =
-          if i >= Array.length b.Block.pages then None
-          else if b.Block.pages.(i) = page then Some (b, i)
-          else pos (i + 1)
-        in
-        pos 0
+    let bi = t.page_owner.(page) in
+    if bi < 0 || bi >= t.next_block_index then -1
+    else
+      match Array.unsafe_get t.table bi with
+      | None -> -1
+      | Some b ->
+          let i = page_pos b ~page 0 in
+          if i < 0 then -1
+          else
+            b.Block.base + (i * Holes_pcm.Geometry.page_bytes)
+            + (line * Holes_pcm.Geometry.line_bytes)
 
 (** The 64 B PCM line backing heap byte [addr], encoded as
     [stock_page * lines_per_page + line], or -1 for DRAM-borrowed pages

@@ -49,12 +49,14 @@ type t = {
   mutable nblocks : int;  (** live (assembled, not dissolved) blocks *)
   page_owner : int array;
       (** stock page id -> owning block index, -1 when unassembled: the
-          O(1) reverse index behind [find_page_owner] *)
+          O(1) reverse index behind [page_line_addr] *)
   mutable next_block_index : int;
-  mutable spare : Block.t list;
-      (** dissolved blocks, most recent first: the next assembly takes
-          one over ([Block.create ~reuse]) so its line maps, live counts
-          and grown object list are reused rather than reallocated *)
+  mutable spare : Block.t array;
+      (** dissolved blocks, a stack in [spare.(0 .. nspare - 1)] (most
+          recent on top): the next assembly takes one over
+          ([Block.create ~reuse]) so its line maps, live counts and grown
+          object list are reused rather than reallocated *)
+  mutable nspare : int;
   page_scratch : int array;  (** the pages of a block being assembled *)
   recyclable : Intvec.t;
       (** block indices with free lines, address order; consumed front
@@ -64,6 +66,9 @@ type t = {
       (** the snapshot work-list: every slot id, enqueued in ascending-id
           order, so marking runs over a dense int array *)
   evac_ids : Intvec.t;  (** evacuation scratch: the object list being evacuated *)
+  occupants : Intvec.t;
+      (** line-retirement scratch: the objects overlapping a failing
+          line, in object-list order *)
   mutable cur_block : int;  (** main bump cursor's block; -1 = none *)
   mutable cursor : int;
   mutable limit : int;
@@ -111,11 +116,13 @@ type t = {
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)
-  mutable pending_retire : (int * int * int) list;
-      (** deferred dynamic-failure line retirements, newest first:
-          (heap addr, stock page id or -1, 64 B line within the page) —
-          completed by the defrag phase, so a failure storm never forces
-          a monolithic evacuation pause *)
+  pending_retire : Intvec.t;
+      (** deferred dynamic-failure line retirements, a FIFO of flat
+          (heap addr, stock page id or -1, 64 B line within the page)
+          triples read from [retire_pos] — completed by the defrag
+          phase, so a failure storm never forces a monolithic evacuation
+          pause *)
+  mutable retire_pos : int;  (** read cursor into [pending_retire] *)
   mutable inc_trigger : int;  (** allocations since the last proactive-start check *)
   tracer : Holes_obs.Trace.view;
 }
@@ -194,6 +201,10 @@ val inc_defrag : int
 val incremental_active : t -> bool
 (** A collection cycle is in flight (some slice work remains). *)
 
+val pending_retirements : t -> int
+(** Deferred line retirements queued for the active cycle's defrag
+    phase and not yet completed. *)
+
 val gc_increment : t -> unit
 (** Run one bounded increment of the active cycle, bracketed as its own
     recorded pause; no-op when no cycle is active.  Normally driven
@@ -220,10 +231,11 @@ val dynamic_failure : t -> addr:int -> unit
     Dynamic failures also update the backing page's bitmap in the stock,
     so a reassembled block later sees the hole. *)
 
-val find_page_owner : t -> page:int -> (Block.t * int) option
-(** The assembled block (and page index within it) backed by stock page
-    [page], if any — the reverse lookup the OS failure up-call needs to
-    turn a page/line pair back into a heap address. *)
+val page_line_addr : t -> page:int -> line:int -> int
+(** The heap address of 64 B line [line] of stock page [page] when an
+    assembled block holds the page, else -1 — the reverse lookup the OS
+    failure up-call needs to turn a page/line pair back into a heap
+    address. *)
 
 val backing_line : t -> addr:int -> int
 (** The 64 B PCM line backing heap byte [addr], encoded as

@@ -21,6 +21,9 @@ type t = {
   cost : Cost.t;
   metrics : Metrics.t;
   entries : (int, entry) Hashtbl.t;  (** object id -> backing pages *)
+  base_of_page : int array;
+      (** stock page id -> base address of the LOS object it backs, -1
+          when none: the reverse index behind {!addr_backed_by} *)
   mutable next_addr : int;
   mutable pages_in_use : int;
 }
@@ -35,6 +38,7 @@ let create ~(stock : Page_stock.t) ~(cost : Cost.t) ~(metrics : Metrics.t) : t =
     cost;
     metrics;
     entries = Hashtbl.create 64;
+    base_of_page = Array.make (Page_stock.npages stock) (-1);
     next_addr = address_base;
     pages_in_use = 0;
   }
@@ -93,6 +97,7 @@ let alloc (t : t) ~(size : int) : int option =
     (* keyed by address until the object id is known; pages in address
        order, so offset / page_bytes indexes the backing page *)
     Hashtbl.replace t.entries addr { pages; bytes = size };
+    Array.iter (fun id -> if id >= 0 then t.base_of_page.(id) <- addr) pages;
     Some addr
   end
 
@@ -106,7 +111,11 @@ let free (t : t) ~(addr : int) : unit =
       Cost.charge t.cost (w.Cost.los_page *. float_of_int npages);
       Array.iter
         (fun id ->
-          if id = -1 then Page_stock.return_borrowed t.stock else Page_stock.return_page t.stock id)
+          if id = -1 then Page_stock.return_borrowed t.stock
+          else begin
+            t.base_of_page.(id) <- -1;
+            Page_stock.return_page t.stock id
+          end)
         e.pages;
       t.pages_in_use <- t.pages_in_use - npages;
       Hashtbl.remove t.entries addr
@@ -128,14 +137,11 @@ let backing_line (t : t) ~(base : int) ~(off : int) : int =
           (pg * Holes_pcm.Geometry.lines_per_page) + (off mod pb / Holes_pcm.Geometry.line_bytes)
         else -1
 
-(** The LOS base address whose backing pages include stock page [page] —
-    the reverse lookup for an OS-reported line failure.  Linear in the
-    number of LOS entries; dynamic failures are rare. *)
-let addr_backed_by (t : t) ~(page : int) : int option =
-  Hashtbl.fold
-    (fun a e acc ->
-      match acc with Some _ -> acc | None -> if Array.exists (( = ) page) e.pages then Some a else None)
-    t.entries None
+(** The LOS base address whose backing pages include stock page [page],
+    or -1 — the reverse lookup for an OS-reported line failure: one
+    array load (a failure storm retires thousands of lines). *)
+let addr_backed_by (t : t) ~(page : int) : int =
+  if page < 0 || page >= Array.length t.base_of_page then -1 else t.base_of_page.(page)
 
 (** Pages currently backing live LOS objects. *)
 let pages_in_use (t : t) : int = t.pages_in_use

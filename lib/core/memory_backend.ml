@@ -143,7 +143,7 @@ let create_node ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.devic
         let t = Osal.Tier.create ~tracer ~vmm ~device ~dram_pages ~epoch () in
         (* a stalled demotion write-back drains the failure buffer the
            same way the VM's own write path does *)
-        Osal.Tier.set_on_stall t (fun () -> ignore (Osal.Interrupts.service interrupts));
+        Osal.Tier.set_on_stall t (fun () -> Osal.Interrupts.drain interrupts);
         Some t
   in
   {
@@ -195,9 +195,9 @@ let attach ~(node : node) ~(metrics : Metrics.t) ~(npages : int) () :
       in
       (* the Sec. 3.2.2 up-call: virtual page + line -> the VM's retire hook *)
       Osal.Vmm.register_failure_handler proc (fun ~virt_page ~line ~data ->
-          match Hashtbl.find_opt st.stock_of_virt virt_page with
-          | Some stock_page -> st.line_retired ~stock_page ~line ~data
-          | None -> ());
+          match Hashtbl.find st.stock_of_virt virt_page with
+          | stock_page -> st.line_retired ~stock_page ~line ~data
+          | exception Not_found -> ());
       let bitmaps =
         Array.map (fun virt -> Osal.Vmm.map_failures node.n_vmm proc ~virt) virt_of_stock
       in
@@ -216,10 +216,8 @@ let create_device ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.dev
   | Error `Out_of_memory ->
       invalid_arg "Memory_backend.create_device: device cannot back the requested heap"
 
-(** Drain pending failure interrupts (OS side).  Returns the number of
-    resolutions performed. *)
-let service (st : device_state) : int =
-  List.length (Osal.Interrupts.service st.interrupts)
+(** Drain pending failure interrupts (OS side). *)
+let service (st : device_state) : unit = Osal.Interrupts.drain st.interrupts
 
 (** Evict a VM from its (shared) node: drain pending interrupts, silence
     the retire hook, and unmap every heap page — the pages return to the
@@ -227,7 +225,7 @@ let service (st : device_state) : int =
     for the next placement.  The VM object must not be used afterwards;
     its remaining device writes fall into the [Skipped] path. *)
 let detach (st : device_state) : unit =
-  ignore (service st);
+  service st;
   st.line_retired <- (fun ~stock_page:_ ~line:_ ~data:_ -> ());
   (* demote this process's promoted pages first: a munmap of a page
      mapped to a DRAM frame would free the frame and leak its reserved
@@ -297,12 +295,12 @@ let rec pcm_write (st : device_state) ~(virt : int) ~(phys : int) ~(logical : in
       note_pcm_write st ~virt ~phys;
       Stored
   | Pcm.Device.Write_failed ->
-      ignore (service st);
+      service st;
       note_pcm_write st ~virt ~phys;
       Line_failed
   | Pcm.Device.Stalled ->
       if retry then begin
-        ignore (service st);
+        service st;
         pcm_write st ~virt ~phys ~logical payload ~retry:false
       end
       else Skipped
@@ -385,9 +383,9 @@ let sync (st : device_state) : unit =
     reserves for itself is evacuated through the normal failure chain
     and resolved before this returns. *)
 let set_wear_level (st : device_state) (p : Pcm.Wear_level.policy option) : unit =
-  ignore (service st);
+  service st;
   Pcm.Device.set_wear_level st.device p;
-  ignore (service st)
+  service st
 
 (** Switch the node's tiering policy mid-run.  Pending interrupts are
     drained on both sides.  Turning migration off demotes every
@@ -396,7 +394,7 @@ let set_wear_level (st : device_state) (p : Pcm.Wear_level.policy option) : unit
     cells.  Both directions leave the data intact — only who absorbs
     future writes changes. *)
 let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
-  ignore (service st);
+  service st;
   (match (st.node.n_tier, p.Pcm.Hybrid.migrate_epoch) with
   | Some tier, None ->
       Osal.Tier.drop_all tier ~charge_copy:st.charge_copy;
@@ -406,7 +404,7 @@ let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
         Osal.Tier.create ~vmm:st.vmm ~device:st.device ~dram_pages:st.dram_pages ~epoch ()
       in
       let interrupts = st.interrupts in
-      Osal.Tier.set_on_stall tier (fun () -> ignore (Osal.Interrupts.service interrupts));
+      Osal.Tier.set_on_stall tier (fun () -> Osal.Interrupts.drain interrupts);
       st.node.n_tier <- Some tier
   | Some _, Some _ | None, None -> ());
   Pcm.Device.set_caram st.device p.Pcm.Hybrid.caram_ways;
@@ -418,4 +416,4 @@ let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
              (st.node.n_seed lxor 0xCA4A77 lxor (st.proc.Osal.Vmm.pid * 0x9E3779)))
   | _ -> ());
   st.node.n_hybrid <- p;
-  ignore (service st)
+  service st

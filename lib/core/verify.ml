@@ -214,10 +214,10 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
         (fun () -> Printf.sprintf "incremental phase %d out of range" phase);
       if phase = Immix.inc_idle then begin
         check c
-          (s.Immix.pending_retire = [])
+          (Immix.pending_retirements s = 0)
           (fun () ->
             Printf.sprintf "%d pending line retirements with no cycle in flight"
-              (List.length s.Immix.pending_retire));
+              (Immix.pending_retirements s));
         check c
           (s.Immix.inc_candidates = [])
           (fun () ->

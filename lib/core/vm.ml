@@ -147,17 +147,13 @@ let handle_line_retired (t : t) ~(stock_page : int) ~(line : int) ~(data : Bytes
   match t.space with
   | Ms _ -> ()
   | Ix s -> (
-      match Immix.find_page_owner s ~page:stock_page with
-      | Some (b, page_idx) ->
-          let addr =
-            b.Block.base + (page_idx * page_bytes) + (line * Holes_pcm.Geometry.line_bytes)
-          in
-          Immix.dynamic_failure s ~addr
-      | None -> (
-          Page_stock.mark_line_failed t.stock ~id:stock_page ~line;
-          match Los.addr_backed_by t.los ~page:stock_page with
-          | Some base -> relocate_los_victim t ~addr:base
-          | None -> ()))
+      let addr = Immix.page_line_addr s ~page:stock_page ~line in
+      if addr >= 0 then Immix.dynamic_failure s ~addr
+      else begin
+        Page_stock.mark_line_failed t.stock ~id:stock_page ~line;
+        let base = Los.addr_backed_by t.los ~page:stock_page in
+        if base >= 0 then relocate_los_victim t ~addr:base
+      end)
 
 (* The 64 B PCM line backing byte [off] of the object at [addr]
    (stock_page * lines_per_page + line), or -1 when no PCM line backs it. *)

@@ -34,6 +34,9 @@ type outcome = {
   hyb_toggles : int;  (** mid-run DRAM/PCM tiering policy toggles (device seeds) *)
   inc_toggles : int;  (** mid-run incremental-collection budget toggles *)
   churns : int;  (** mid-run tenant spawn/verify/detach cycles (device seeds) *)
+  dynamic_failures : int;
+      (** line failures the runtime retired (injected, or worn out on
+          device seeds) *)
   gcs : int;  (** nursery + full collections *)
   explicit_verifies : int;  (** verifier runs outside the post-GC hook *)
   verify_passes : int;  (** clean verifier runs, including post-GC hooks *)
@@ -142,6 +145,22 @@ let config_of_seed (seed : int) : Cfg.t =
       | 1 -> { Holes_pcm.Hybrid.migrate_epoch = Some epoch; caram_ways = None }
       | 2 -> { Holes_pcm.Hybrid.migrate_epoch = None; caram_ways = Some ways }
       | _ -> { Holes_pcm.Hybrid.migrate_epoch = Some epoch; caram_ways = Some ways }
+  in
+  (* half the device seeds draw a worn device — mean endurance 2-5
+     writes and 0-2 correction entries per line (the configuration name
+     shows the endurance only) — so wear-outs reach the collector's
+     dynamic-failure path, and the incremental retirement queue, within
+     a schedule.  (At the default correction budget a line takes at
+     least seven writes to fail, more than a schedule gives most lines.)
+     Drawn last, so every other field keeps its value for each seed. *)
+  let backend =
+    if device && Xrng.int rng 2 = 0 then
+      let d = Cfg.default_device in
+      let mean_endurance = float_of_int (2 + Xrng.int rng 4) in
+      let ecp_entries = Xrng.int rng 3 in
+      Cfg.Device
+        { d with Cfg.wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance; ecp_entries } }
+    else backend
   in
   {
     Cfg.default with
@@ -369,6 +388,7 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
     hyb_toggles = !hyb_toggles;
     inc_toggles = !inc_toggles;
     churns = !churns;
+    dynamic_failures = m.Metrics.dynamic_failures;
     gcs = m.Metrics.full_gcs + m.Metrics.nursery_gcs;
     explicit_verifies = !explicit_verifies;
     verify_passes = m.Metrics.verify_passes;

@@ -51,7 +51,8 @@ type t = {
   params : params;
   rng : Xrng.t;
   dist : Generator.category Dist.Discrete.t;
-  mutable session : int list;  (** live session object ids, newest first *)
+  session : Intvec.t;  (** live session object ids, oldest first *)
+  locals : Intvec.t;  (** the request in flight's local object ids, oldest first *)
   mutable session_left : int;  (** requests before the session turns over *)
 }
 
@@ -60,30 +61,38 @@ let make (params : params) (rng : Xrng.t) : t =
     params;
     rng;
     dist = Generator.category_dist params.profile;
-    session = [];
+    session = Intvec.create ();
+    locals = Intvec.create ();
     session_left = 0;
   }
 
 (** Forget all VM-specific state (object ids die with the VM).  Called
     on eviction, before the tenant is re-placed on a fresh VM. *)
 let reset (t : t) : unit =
-  t.session <- [];
+  Intvec.clear t.session;
+  Intvec.clear t.locals;
   t.session_left <- 0
 
 type outcome = { service_ns : float; gc_ns : float }
 
+(* Kill every id in [v], newest first, and empty it. *)
+let kill_all (vm : Holes.Vm.t) (v : Intvec.t) : unit =
+  for i = Intvec.length v - 1 downto 0 do
+    Holes.Vm.kill vm (Intvec.unsafe_get v i)
+  done;
+  Intvec.clear v
+
 (* Session turnover: kill the old session state, then allocate the new
    session's base working set. *)
 let begin_session (t : t) (vm : Holes.Vm.t) : unit =
-  List.iter (Holes.Vm.kill vm) t.session;
-  t.session <- [];
+  kill_all vm t.session;
   t.session_left <-
     1 + int_of_float (Dist.exponential t.rng ~mean:(float_of_int t.params.session_requests));
   let acc = ref 0 in
   while !acc < t.params.session_bytes do
     let size = Generator.sample_size t.rng t.params.profile t.dist in
     let id = Holes.Vm.alloc vm ~size () in
-    t.session <- id :: t.session;
+    Intvec.push t.session id;
     acc := !acc + size
   done
 
@@ -91,7 +100,9 @@ let begin_session (t : t) (vm : Holes.Vm.t) : unit =
     burst of ~[req_bytes] with mutation into the session graph; request
     locals are killed at request end.  Returns the modeled service time
     (cost delta, ≥ 1 ns).  An OOM anywhere aborts the request — the VM
-    must be considered unusable and the caller evicts the tenant. *)
+    must be considered unusable and the caller evicts the tenant.  A
+    request that runs no collection allocates nothing but its outcome
+    (the "zero-allocation step" tests in [test_hotpath.ml]). *)
 let serve (t : t) (vm : Holes.Vm.t) : (outcome, [ `Oom ]) result =
   let cost = Holes.Vm.cost vm in
   let t0 = Holes.Cost.total_ns cost and g0 = Holes.Cost.gc_ns cost in
@@ -101,29 +112,29 @@ let serve (t : t) (vm : Holes.Vm.t) : (outcome, [ `Oom ]) result =
     let target =
       1 + int_of_float (Dist.exponential t.rng ~mean:(float_of_int t.params.req_bytes))
     in
-    let locals = ref [] in
-    let nsession = ref (List.length t.session) in
+    (* an aborted request's locals were never killed; they die with the
+       evicted VM *)
+    Intvec.clear t.locals;
     let acc = ref 0 in
     while !acc < target do
       let size = Generator.sample_size t.rng t.params.profile t.dist in
       let id = Holes.Vm.alloc vm ~size () in
-      if !nsession > 0 && Xrng.float t.rng < t.params.profile.Profile.mutation_rate then begin
-        let src = List.nth t.session (Xrng.int t.rng !nsession) in
+      let nsession = Intvec.length t.session in
+      if nsession > 0 && Xrng.float t.rng < t.params.profile.Profile.mutation_rate then begin
+        (* the k-th newest session object *)
+        let k = Xrng.int t.rng nsession in
+        let src = Intvec.unsafe_get t.session (nsession - 1 - k) in
         Holes.Vm.write_ref vm ~src ~dst:id
       end;
-      if Xrng.float t.rng < t.params.retain_frac then begin
-        t.session <- id :: t.session;
-        incr nsession
-      end
-      else locals := id :: !locals;
+      if Xrng.float t.rng < t.params.retain_frac then Intvec.push t.session id
+      else Intvec.push t.locals id;
       acc := !acc + size
     done;
-    List.iter (Holes.Vm.kill vm) !locals
+    kill_all vm t.locals
   with
   | () ->
-      Ok
-        {
-          service_ns = Float.max 1.0 (Holes.Cost.total_ns cost -. t0);
-          gc_ns = Holes.Cost.gc_ns cost -. g0;
-        }
+      let d = Holes.Cost.total_ns cost -. t0 in
+      (* [Float.max 1.0 d] without boxing its arguments (a cost delta is
+         never NaN) *)
+      Ok { service_ns = (if d > 1.0 then d else 1.0); gc_ns = Holes.Cost.gc_ns cost -. g0 }
   | exception Holes.Vm.Out_of_memory -> Error `Oom

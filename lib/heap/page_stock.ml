@@ -265,14 +265,14 @@ let mark_line_failed (t : t) ~(id : int) ~(line : int) : unit =
     p.failed_lines <- p.failed_lines + 1;
     p.usable_logical <- count_usable_logical ~line_size:t.line_size p.bitmap;
     if in_perfect then begin
-      Intvec.filter_in_place t.free_perfect (fun x -> x <> id);
+      Intvec.remove_all t.free_perfect id;
       t.free_usable_lines <- t.free_usable_lines - old_usable;
       (* return_page pushes it to the right pool and recredits *)
       return_page t id
     end
     else if in_imperfect then begin
       if p.usable_logical = 0 then begin
-        Intvec.filter_in_place t.free_imperfect (fun x -> x <> id);
+        Intvec.remove_all t.free_imperfect id;
         t.free_usable_lines <- t.free_usable_lines - old_usable;
         Intvec.push t.dead id
       end

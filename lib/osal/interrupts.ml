@@ -22,14 +22,18 @@ type resolution =
   | Data_restored of int  (** clustering re-backed the address; data rewritten *)
   | Unowned  (** the failing page was not mapped; only bookkeeping done *)
 
-type event = { addr : int; unusable : int list }
-
 type t = {
   vmm : Vmm.t;
   device : Pcm.Device.t;
   dram_pages : int;
-  mutable queue : event list;  (** oldest first *)
-  mutable resolutions : resolution list;  (** most recent first, for tests *)
+  mutable q_addr : int array;
+      (** pending failure events, a FIFO ring: the logical address whose
+          write failed... *)
+  mutable q_lines : int list array;  (** ...and the lines it made unusable *)
+  mutable q_head : int;  (** ring slot of the oldest pending event *)
+  mutable q_len : int;  (** pending events *)
+  mutable keep : bool;  (** record resolutions for {!service}'s result *)
+  mutable kept : resolution list;  (** recorded resolutions, newest first *)
   mutable page_copies : int;
   mutable upcalls : int;
   mutable restores : int;
@@ -39,6 +43,26 @@ type t = {
           gap line) and handed back through the failure chain *)
   tracer : Trace.view;  (** osal-lane events: service spans, resolutions *)
 }
+
+(* Queue a failure event at the ring's tail, doubling the ring when
+   full: no allocation per event once the ring has grown to the deepest
+   backlog. *)
+let enqueue (t : t) ~(addr : int) ~(unusable : int list) : unit =
+  let cap = Array.length t.q_addr in
+  if t.q_len = cap then begin
+    let addrs = Array.make (2 * cap) 0 and lines = Array.make (2 * cap) [] in
+    for i = 0 to t.q_len - 1 do
+      addrs.(i) <- t.q_addr.((t.q_head + i) mod cap);
+      lines.(i) <- t.q_lines.((t.q_head + i) mod cap)
+    done;
+    t.q_addr <- addrs;
+    t.q_lines <- lines;
+    t.q_head <- 0
+  end;
+  let i = (t.q_head + t.q_len) mod Array.length t.q_addr in
+  t.q_addr.(i) <- addr;
+  t.q_lines.(i) <- unusable;
+  t.q_len <- t.q_len + 1
 
 (** Attach an interrupt handler to [device].  [dram_pages] is the number
     of DRAM physical ids preceding the PCM pages in the VMM's physical
@@ -50,8 +74,12 @@ let attach ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Pcm.Device.t) ~(dram
       vmm;
       device;
       dram_pages;
-      queue = [];
-      resolutions = [];
+      q_addr = Array.make 4 0;
+      q_lines = Array.make 4 [];
+      q_head = 0;
+      q_len = 0;
+      keep = false;
+      kept = [];
       page_copies = 0;
       upcalls = 0;
       restores = 0;
@@ -59,11 +87,10 @@ let attach ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Pcm.Device.t) ~(dram
       tracer;
     }
   in
-  Pcm.Device.on_line_failed device (fun ~addr ~unusable ->
-      t.queue <- t.queue @ [ { addr; unusable } ]);
+  Pcm.Device.on_line_failed device (fun ~addr ~unusable -> enqueue t ~addr ~unusable);
   t
 
-let has_pending (t : t) : bool = t.queue <> []
+let has_pending (t : t) : bool = t.q_len > 0
 
 let lines_per_page = Pcm.Geometry.lines_per_page
 
@@ -101,88 +128,114 @@ let copy_to_perfect (t : t) ~(pid : int) ~(virt : int) ~(device_page : int) : re
           ~args:[ ("old_phys", float_of_int old_phys); ("new_phys", float_of_int new_phys) ];
       Some (Page_copied { pid; old_phys; new_phys })
 
-(* Resolve one newly unusable logical line. *)
-let resolve_line (t : t) ~(line : int) ~(data : Bytes.t option) : resolution =
+(* Resolve one newly unusable logical line.  The resolution value is
+   built only while [service] records them. *)
+let resolve_line (t : t) ~(line : int) ~(data : Bytes.t option) : unit =
   let device_page = line / lines_per_page in
   let line_in_page = line mod lines_per_page in
   let phys = t.dram_pages + device_page in
   (* 1. prevent further access before the buffer entry disappears *)
-  let owner = Vmm.reverse_translate t.vmm ~phys in
-  (match owner with
-  | Some (pid, virt) ->
-      let p = Option.get (Vmm.find_process t.vmm pid) in
-      Vmm.set_protection p ~virt Vmm.No_access
-  | None -> ());
+  let pid, virt = Vmm.reverse_owner t.vmm ~phys in
+  if pid >= 0 then Vmm.set_protection (Vmm.process t.vmm pid) ~virt Vmm.No_access;
   (* 2. update OS failure bookkeeping *)
   Failure_table.mark_failed (Vmm.failure_table t.vmm) ~page:device_page ~line:line_in_page;
   ignore (Pools.mark_line_failed (Vmm.pools t.vmm) ~page:phys ~line:line_in_page);
   (* 3. resolve *)
-  match owner with
-  | None -> Unowned
-  | Some (pid, virt) -> (
-      let p = Option.get (Vmm.find_process t.vmm pid) in
-      match p.Vmm.failure_handler with
-      | Some handler ->
-          if Trace.armed t.tracer then
-            Trace.instant t.tracer ~tid:Trace.tid_osal "os_upcall"
-              ~args:[ ("line", float_of_int line); ("virt", float_of_int virt) ];
-          handler ~virt_page:virt ~line:line_in_page ~data;
-          Vmm.set_protection p ~virt Vmm.Read_write;
-          t.upcalls <- t.upcalls + 1;
-          Upcalled pid
-      | None -> (
-          match copy_to_perfect t ~pid ~virt ~device_page with
-          | Some r -> r
-          | None ->
-              (* no perfect page left: leave the page inaccessible *)
-              Unowned))
+  if pid < 0 then begin
+    if t.keep then t.kept <- Unowned :: t.kept
+  end
+  else
+    let p = Vmm.process t.vmm pid in
+    match p.Vmm.failure_handler with
+    | Some handler ->
+        if Trace.armed t.tracer then
+          Trace.instant t.tracer ~tid:Trace.tid_osal "os_upcall"
+            ~args:[ ("line", float_of_int line); ("virt", float_of_int virt) ];
+        handler ~virt_page:virt ~line:line_in_page ~data;
+        Vmm.set_protection p ~virt Vmm.Read_write;
+        t.upcalls <- t.upcalls + 1;
+        if t.keep then t.kept <- Upcalled pid :: t.kept
+    | None ->
+        (* no perfect page left: leave the page inaccessible *)
+        let r = match copy_to_perfect t ~pid ~virt ~device_page with Some r -> r | None -> Unowned in
+        if t.keep then t.kept <- r :: t.kept
 
-(** Service the interrupt: handle every pending failure event.  Returns
-    the resolutions, oldest first. *)
+let rec int_mem (x : int) (l : int list) : bool =
+  match l with [] -> false | y :: rest -> x = y || int_mem x rest
+
+(* Resolve each line of [unusable]; the failing address itself carries
+   the preserved payload. *)
+let rec resolve_lines (t : t) ~(addr : int) ~(data : Bytes.t option) (unusable : int list) :
+    unit =
+  match unusable with
+  | [] -> ()
+  | line :: rest ->
+      resolve_line t ~line ~data:(if line = addr then data else None);
+      resolve_lines t ~addr ~data rest
+
+(* Handle every pending failure event, oldest first.  An event is taken
+   off the queue before it is handled, so events raised while handling
+   it (a nested drain included) queue behind the rest. *)
+let rec drain_queue (t : t) : unit =
+  if t.q_len > 0 then begin
+    let h = t.q_head in
+    let addr = t.q_addr.(h) and unusable = t.q_lines.(h) in
+    t.q_lines.(h) <- [];
+    t.q_head <- (h + 1) mod Array.length t.q_addr;
+    t.q_len <- t.q_len - 1;
+    (* recover the preserved data, clearing the buffer entry (this
+       may un-stall the device) *)
+    let data = Pcm.Device.drain_failure t.device addr in
+    let self_retiring = int_mem addr unusable in
+    (* no buffered payload + the address retiring itself = a pipeline
+       reservation (e.g. a start-gap enable evacuating its gap line),
+       not a wear failure: same resolution path, tracked apart *)
+    if Option.is_none data && self_retiring then begin
+      t.evacuations <- t.evacuations + 1;
+      if Trace.armed t.tracer then
+        Trace.instant t.tracer ~tid:Trace.tid_osal "os_line_evacuate"
+          ~args:[ ("line", float_of_int addr) ]
+    end;
+    (* the failing address itself: if clustering re-backed it with a
+       working line, restore the in-flight data in place *)
+    if (not self_retiring) && Pcm.Device.line_usable t.device addr then begin
+      (match data with Some d -> ignore (Pcm.Device.write t.device addr d) | None -> ());
+      t.restores <- t.restores + 1;
+      if Trace.armed t.tracer then
+        Trace.instant t.tracer ~tid:Trace.tid_osal "os_data_restore"
+          ~args:[ ("line", float_of_int addr) ];
+      if t.keep then t.kept <- Data_restored addr :: t.kept
+    end;
+    resolve_lines t ~addr ~data unusable;
+    drain_queue t
+  end
+
+(* [drain_queue] inside the osal trace span, with [keep] set as asked
+   and restored after (a nested drain from an up-call records nothing
+   for an outer [service]). *)
+let drain_events (t : t) ~(keep : bool) : unit =
+  if t.q_len > 0 then begin
+    let outer = t.keep in
+    t.keep <- keep;
+    if Trace.armed t.tracer then
+      Trace.with_span t.tracer ~tid:Trace.tid_osal "irq_service" (fun () -> drain_queue t)
+    else drain_queue t;
+    t.keep <- outer
+  end
+
+(** Service the interrupt: handle every pending failure event.  Records
+    nothing — the allocation-free form the memory backend runs after
+    every failed or stalled write. *)
+let drain (t : t) : unit = drain_events t ~keep:false
+
+(** [drain], returning the resolutions performed, oldest first. *)
 let service (t : t) : resolution list =
-  let rec drain acc =
-    match t.queue with
-    | [] -> List.rev acc
-    | { addr; unusable } :: rest ->
-        t.queue <- rest;
-        (* recover the preserved data, clearing the buffer entry (this
-           may un-stall the device) *)
-        let data = Pcm.Device.drain_failure t.device addr in
-        (* no buffered payload + the address retiring itself = a pipeline
-           reservation (e.g. a start-gap enable evacuating its gap line),
-           not a wear failure: same resolution path, tracked apart *)
-        if data = None && List.mem addr unusable then begin
-          t.evacuations <- t.evacuations + 1;
-          if Trace.armed t.tracer then
-            Trace.instant t.tracer ~tid:Trace.tid_osal "os_line_evacuate"
-              ~args:[ ("line", float_of_int addr) ]
-        end;
-        let results = ref [] in
-        (* the failing address itself: if clustering re-backed it with a
-           working line, restore the in-flight data in place *)
-        if (not (List.mem addr unusable)) && Pcm.Device.line_usable t.device addr then begin
-          (match data with
-          | Some d -> ignore (Pcm.Device.write t.device addr d)
-          | None -> ());
-          t.restores <- t.restores + 1;
-          if Trace.armed t.tracer then
-            Trace.instant t.tracer ~tid:Trace.tid_osal "os_data_restore"
-              ~args:[ ("line", float_of_int addr) ];
-          results := Data_restored addr :: !results
-        end;
-        List.iter
-          (fun line ->
-            let line_data = if line = addr then data else None in
-            results := resolve_line t ~line ~data:line_data :: !results)
-          unusable;
-        let results = List.rev !results in
-        t.resolutions <- List.rev_append results t.resolutions;
-        drain (List.rev_append results acc)
-  in
-  if t.queue = [] then []
-  else if Trace.armed t.tracer then
-    Trace.with_span t.tracer ~tid:Trace.tid_osal "irq_service" (fun () -> drain [])
-  else drain []
+  let outer = t.kept in
+  t.kept <- [];
+  drain_events t ~keep:true;
+  let r = List.rev t.kept in
+  t.kept <- outer;
+  r
 
 let upcalls (t : t) : int = t.upcalls
 

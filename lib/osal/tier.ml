@@ -141,10 +141,21 @@ let write_back (t : t) (logical : int) (data : Bytes.t) : unit =
           t.writeback_failures <- t.writeback_failures + 1)
 
 let demote (t : t) (r : resident) ~(charge_copy : bytes:int -> unit) : unit =
-  (match Vmm.find_process t.vmm r.r_pid with
+  let proc = Vmm.find_process t.vmm r.r_pid in
+  (match proc with
   | None -> ()  (* process raced away; drop_process handles live exits *)
-  | Some proc ->
-      Vmm.migrate t.vmm proc ~virt:r.r_virt ~new_phys:r.r_pcm_phys;
+  | Some proc -> Vmm.migrate t.vmm proc ~virt:r.r_virt ~new_phys:r.r_pcm_phys);
+  (* the page leaves the residency map, and its frame returns to the
+     pool, before the write-back: a stalled write-back drains the
+     failure buffer, whose up-calls can run a collection (and the
+     paranoid verifier after it) or raise out of memory, and neither
+     may find the page mapped home but still registered on its frame *)
+  Pools.free (Vmm.pools t.vmm) r.r_dram_phys;
+  Hashtbl.remove t.by_frame r.r_dram_phys;
+  t.demotes <- t.demotes + 1;
+  match proc with
+  | None -> ()
+  | Some _ ->
       let device_page = r.r_pcm_phys - t.dram_pages in
       let written = ref 0 in
       Bitset.iter_set r.dirty (fun line ->
@@ -163,10 +174,7 @@ let demote (t : t) (r : resident) ~(charge_copy : bytes:int -> unit) : unit =
               ("virt", float_of_int r.r_virt);
               ("pcm", float_of_int r.r_pcm_phys);
               ("dirty", float_of_int !written);
-            ]);
-  Pools.free (Vmm.pools t.vmm) r.r_dram_phys;
-  Hashtbl.remove t.by_frame r.r_dram_phys;
-  t.demotes <- t.demotes + 1
+            ]
 
 (** Demote every resident belonging to [pid] — must run before the
     process's pages are unmapped (a munmap of a promoted page would

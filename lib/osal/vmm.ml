@@ -145,14 +145,23 @@ let translate (p : process) ~(virt : int) : int option =
   let phys = translate_phys p ~virt in
   if phys < 0 then None else Some phys
 
+(** The owner [reverse_owner] reports for an unmapped physical page. *)
+let no_owner : int * int = (-1, -1)
+
 (** Reverse address translation (physical -> (pid, virtual)); "relatively
-    expensive, but dynamic failures are very rare" (Sec. 3.2.2). *)
-let reverse_translate (t : t) ~(phys : int) : (int * int) option =
+    expensive, but dynamic failures are very rare" (Sec. 3.2.2).  Returns
+    the index's own pair, or {!no_owner} when [phys] is unmapped — no
+    option box, for the failure interrupt's path. *)
+let reverse_owner (t : t) ~(phys : int) : int * int =
   t.reverse_translations <- t.reverse_translations + 1;
   if Trace.armed t.tracer then
     Trace.instant t.tracer ~tid:Trace.tid_osal "reverse_translate"
       ~args:[ ("phys", float_of_int phys) ];
-  Hashtbl.find_opt t.reverse phys
+  match Hashtbl.find t.reverse phys with o -> o | exception Not_found -> no_owner
+
+let reverse_translate (t : t) ~(phys : int) : (int * int) option =
+  let o = reverse_owner t ~phys in
+  if o == no_owner then None else Some o
 
 let reverse_translations (t : t) : int = t.reverse_translations
 
@@ -163,13 +172,19 @@ let record_swap (t : t) : unit =
 
 let swap_ins (t : t) : int = t.swap_ins
 
+let rec process_in (pid : int) (ps : process list) : process =
+  match ps with [] -> raise Not_found | p :: rest -> if p.pid = pid then p else process_in pid rest
+
+(** The process [pid]; raises [Not_found] when there is none. *)
+let process (t : t) (pid : int) : process = process_in pid t.processes
+
 let find_process (t : t) (pid : int) : process option =
-  List.find_opt (fun p -> p.pid = pid) t.processes
+  match process t pid with p -> Some p | exception Not_found -> None
 
 let set_protection (p : process) ~(virt : int) (prot : prot) : unit =
-  match Hashtbl.find_opt p.page_table virt with
-  | None -> invalid_arg "Vmm.set_protection: unmapped virtual page"
-  | Some m -> m.prot <- prot
+  match Hashtbl.find p.page_table virt with
+  | m -> m.prot <- prot
+  | exception Not_found -> invalid_arg "Vmm.set_protection: unmapped virtual page"
 
 let protection (p : process) ~(virt : int) : prot =
   match Hashtbl.find_opt p.page_table virt with

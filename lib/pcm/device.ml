@@ -135,14 +135,21 @@ let downstream (t : t) (m : int) : int =
 (* a physical line became unusable: walk the pipeline in reverse, giving
    each stage a chance to absorb it (clustering swap, leveling freeze),
    and collect the logical lines the OS must now publish *)
+let rec chain_from (t : t) (i : int) (lines : int list) : int list =
+  if i < 0 then lines
+  else
+    let stage = t.stages.(i) in
+    chain_from t (i - 1) (List.concat_map (fun q -> stage.Translate.on_failure ~physical:q) lines)
+
 let chain_failure (t : t) (physical : int) : int list =
-  let rec go i lines =
-    if i < 0 then lines
-    else
-      go (i - 1)
-        (List.concat_map (fun q -> t.stages.(i).Translate.on_failure ~physical:q) lines)
-  in
-  go (Array.length t.stages - 1) [ physical ]
+  chain_from t (Array.length t.stages - 1) [ physical ]
+
+let rec mark_unusable (t : t) (lines : int list) : unit =
+  match lines with
+  | [] -> ()
+  | l :: rest ->
+      Bitset.set t.unusable l;
+      mark_unusable t rest
 
 (* ---- arena payload helpers ------------------------------------------- *)
 
@@ -280,7 +287,7 @@ let preinstall_failures (t : t) (map : Bitset.t) : unit =
     invalid_arg "Device.preinstall_failures: map larger than the device";
   Bitset.iter_set map (fun physical ->
       t.lines.(physical).Wear.failed <- true;
-      List.iter (fun l -> Bitset.set t.unusable l) (chain_failure t physical));
+      mark_unusable t (chain_failure t physical));
   (* a boot failure can swallow start-gap's freshly reserved gap — in
      particular the clustering metadata freeze lands on region-start
      slots, and mid-device is a region start.  Re-reserve before the OS
@@ -369,7 +376,7 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
             Trace.instant t.tracer ~tid:Trace.tid_pcm "fbuf_stall"
         end;
         let newly_unusable = chain_failure t physical in
-        List.iter (fun l -> Bitset.set t.unusable l) newly_unusable;
+        mark_unusable t newly_unusable;
         (* if the failure swallowed start-gap's gap, re-reserve one so
            leveling keeps running; the new reservation rides the same
            OS notification as the failure itself *)
@@ -455,17 +462,16 @@ let caram_check (t : t) : string list =
     the data.  Returns the preserved payload. *)
 let drain_failure (t : t) (logical : int) : Bytes.t option =
   check_line t logical;
-  match Failure_buffer.forward t.buffer ~addr:logical with
+  match Failure_buffer.take t.buffer ~addr:logical with
   | None -> None
-  | Some data ->
-      ignore (Failure_buffer.clear t.buffer ~addr:logical);
+  | Some _ as data ->
       if Trace.armed t.tracer then begin
         Trace.instant t.tracer ~tid:Trace.tid_pcm "fbuf_drain"
           ~args:[ ("line", float_of_int logical) ];
         Trace.counter t.tracer ~tid:Trace.tid_pcm "fbuf"
           [ ("occupancy", float_of_int (Failure_buffer.occupancy t.buffer)) ]
       end;
-      Some data
+      data
 
 (** Logical indices of all currently unusable lines, ascending. *)
 let unusable_lines (t : t) : int list =

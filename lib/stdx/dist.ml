@@ -13,14 +13,14 @@ let[@inline] clamp_tiny (u : float) : float = if 1e-300 >= u then 1e-300 else u
 
 (** Standard normal via Box–Muller (one value per call; we do not cache the
     second value to keep the sampler stateless w.r.t. the distribution). *)
-let normal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
+let[@inline] normal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
   let u1 = clamp_tiny (Xrng.float rng) in
   let u2 = Xrng.float rng in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 (** Lognormal: [exp (normal mu sigma)].  Used for PCM cell endurance
     process variation (the paper cites ~1e8 writes per cell average). *)
-let lognormal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
+let[@inline] lognormal (rng : Xrng.t) ~(mu : float) ~(sigma : float) : float =
   exp (normal rng ~mu ~sigma)
 
 (** Exponential with mean [mean]. *)

@@ -63,11 +63,19 @@ let push (t : 'a t) ~(key : int) (v : 'a) : unit =
 (** Key of the minimum element, if any. *)
 let min_key (t : 'a t) : int option = if t.size = 0 then None else Some t.keys.(0)
 
-(** Remove and return the minimum (key, value). *)
-let pop (t : 'a t) : (int * 'a) option =
-  if t.size = 0 then None
+(** [min_key_or t ~default] is the key of the minimum element, or
+    [default] when empty — the allocation-free peek for hot paths (no
+    option box), as {!Intvec.pop_or}. *)
+let[@inline] min_key_or (t : 'a t) ~(default : int) : int =
+  if t.size = 0 then default else Array.unsafe_get t.keys 0
+
+(** Remove the minimum element and return its value (the heap's
+    [dummy] when empty) — the allocation-free pop: read the key first
+    with {!min_key_or}. *)
+let pop_value (t : 'a t) : 'a =
+  if t.size = 0 then t.dummy
   else begin
-    let k = t.keys.(0) and v = t.vals.(0) in
+    let v = t.vals.(0) in
     t.size <- t.size - 1;
     if t.size > 0 then begin
       t.keys.(0) <- t.keys.(t.size);
@@ -75,5 +83,13 @@ let pop (t : 'a t) : (int * 'a) option =
       sift_down t 0
     end;
     t.vals.(t.size) <- t.dummy;
-    Some (k, v)
+    v
+  end
+
+(** Remove and return the minimum (key, value). *)
+let pop (t : 'a t) : (int * 'a) option =
+  if t.size = 0 then None
+  else begin
+    let k = t.keys.(0) in
+    Some (k, pop_value t)
   end

@@ -65,6 +65,23 @@ let drop_prefix (t : t) (n : int) : unit =
     t.len <- keep
   end
 
+(** Keep only the first [n] elements ([n] is clamped to the length). *)
+let truncate (t : t) (n : int) : unit = if n < t.len then t.len <- max 0 n
+
+(** Drop every element equal to [x], preserving the order of the rest
+    (a loop: [filter_in_place] with a closure over [x] would allocate
+    the closure per call). *)
+let remove_all (t : t) (x : int) : unit =
+  let j = ref 0 in
+  for i = 0 to t.len - 1 do
+    let v = Array.unsafe_get t.data i in
+    if v <> x then begin
+      Array.unsafe_set t.data !j v;
+      incr j
+    end
+  done;
+  t.len <- !j
+
 (** Keep only elements satisfying [p], preserving order. *)
 let filter_in_place (t : t) (p : int -> bool) : unit =
   let j = ref 0 in
@@ -76,10 +93,12 @@ let filter_in_place (t : t) (p : int -> bool) : unit =
   done;
   t.len <- !j
 
-(** Does [t] hold [x]? *)
-let mem (t : t) (x : int) : bool =
-  let rec go i = i < t.len && (Array.unsafe_get t.data i = x || go (i + 1)) in
-  go 0
+let rec mem_from (t : t) (x : int) (i : int) : bool =
+  i < t.len && (Array.unsafe_get t.data i = x || mem_from t x (i + 1))
+
+(** Does [t] hold [x]?  (Top-level recursion: a local closure would
+    allocate on every call.) *)
+let mem (t : t) (x : int) : bool = mem_from t x 0
 
 (** [assign dst src] makes [dst] hold [src]'s elements, in order,
     reusing [dst]'s storage when it is large enough. *)

@@ -69,6 +69,16 @@ let sample_lifetime (rng : Xrng.t) (p : Profile.t) : int =
   let mean = if Xrng.float rng < s then mean_short else mean_long in
   1 + int_of_float (Dist.exponential rng ~mean)
 
+(** Kill every object in [deaths] whose death time is due by [clock],
+    earliest first.  A top-level loop over the non-option heap
+    accessors: a local closure, or an option per peek and pop, would
+    allocate on every step of the per-object loop. *)
+let rec reap (vm : Holes.Vm.t) (deaths : int Heapq.t) ~(clock : int) : unit =
+  if Heapq.min_key_or deaths ~default:max_int <= clock then begin
+    Holes.Vm.kill vm (Heapq.pop_value deaths);
+    reap vm deaths ~clock
+  end
+
 (** Run [profile] against [vm].  [rng] drives all sampling.  Returns the
     run's metrics; an out-of-memory VM yields [completed = false] (the
     paper's "some configurations cannot execute some of the
@@ -105,17 +115,7 @@ let run ?(rng : Xrng.t option) (vm : Holes.Vm.t) (profile : Profile.t) : result 
        end;
        clock := !clock + size;
        (* process deaths due by now *)
-       let rec reap () =
-         match Heapq.min_key deaths with
-         | Some k when k <= !clock -> (
-             match Heapq.pop deaths with
-             | Some (_, dead) ->
-                 Holes.Vm.kill vm dead;
-                 reap ()
-             | None -> ())
-         | _ -> ()
-       in
-       reap ()
+       reap vm deaths ~clock:!clock
      done
    with Holes.Vm.Out_of_memory -> completed := false);
   Holes.Vm.sync_backend_stats vm;

@@ -59,17 +59,7 @@ let replay (vm : Holes.Vm.t) (t : t) : Generator.result =
            then Holes.Vm.write_ref vm ~src ~dst:id
          end;
          clock := !clock + e.size;
-         let rec reap () =
-           match Heapq.min_key deaths with
-           | Some k when k <= !clock -> (
-               match Heapq.pop deaths with
-               | Some (_, dead) ->
-                   Holes.Vm.kill vm dead;
-                   reap ()
-               | None -> ())
-           | _ -> ()
-         in
-         reap ())
+         Generator.reap vm deaths ~clock:!clock)
        t.events
    with Holes.Vm.Out_of_memory -> completed := false);
   let cost = Holes.Vm.cost vm in

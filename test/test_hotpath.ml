@@ -624,6 +624,157 @@ let test_zero_alloc_device_write () =
       ("migrate, no page hot", { Holes_pcm.Hybrid.migrate_epoch = Some max_int; caram_ways = None });
     ]
 
+module Immix = Holes.Immix
+module M = Holes.Metrics
+module Tenant = Holes_fleet.Tenant
+
+let immix_of (vm : Holes.Vm.t) : Immix.t =
+  match vm.Holes.Vm.space with Holes.Vm.Ix s -> s | Holes.Vm.Ms _ -> Alcotest.fail "expected Immix"
+
+(* The record every recorded pause leaves: a cons cell on
+   [Metrics.pauses_ns] (3 words) holding the boxed float (2 words). *)
+let pause_record_words = 5
+
+(* Incremental collection slices.  A sliding window of small objects
+   keeps the heap churning until the allocation pulse opens a cycle;
+   the cycle then runs one [gc_increment] at a time.  Every mark slice
+   and every sweep slice that does not end its phase allocates exactly
+   the pause record (the phase-ending slices select the defrag
+   candidates and install the recyclable vector).  The first cycle
+   grows the work-lists and is not measured. *)
+let test_zero_alloc_gc_slices () =
+  let cfg = { Cfg.default with Cfg.gc_slice = 256 } in
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(4 lsl 20) () in
+  let s = immix_of vm in
+  let window = Array.make 20_000 (-1) and k = ref 0 in
+  let slices = Array.make 4 0 and odd = ref [] in
+  for cycle = 1 to 4 do
+    while not (Immix.incremental_active s) do
+      let i = !k mod Array.length window in
+      if window.(i) >= 0 then Holes.Vm.kill vm window.(i);
+      window.(i) <- Holes.Vm.alloc vm ~size:(16 + (!k mod 9 * 24)) ();
+      incr k
+    done;
+    while Immix.incremental_active s do
+      let phase = s.Immix.inc_phase in
+      let w0 = Gc.minor_words () in
+      Immix.gc_increment s;
+      let w = int_of_float (Gc.minor_words () -. w0) in
+      if cycle > 1 && s.Immix.inc_phase = phase && phase <> Immix.inc_defrag then begin
+        slices.(phase) <- slices.(phase) + 1;
+        if w <> pause_record_words then odd := (phase, w) :: !odd
+      end
+    done
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "mark slices measured (%d)" slices.(Immix.inc_mark))
+    true
+    (slices.(Immix.inc_mark) >= 100);
+  check Alcotest.bool
+    (Printf.sprintf "sweep slices measured (%d)" slices.(Immix.inc_sweep))
+    true
+    (slices.(Immix.inc_sweep) >= 20);
+  check
+    Alcotest.(list (pair int int))
+    "slices allocating other than the pause record (phase, words)" [] !odd
+
+(* The fleet's serving tenant on its VM configuration (device backend,
+   incremental slices), at production endurance so no line wears out.
+   After a store to every heap line has committed the device's payload
+   arena, and warm-up requests have grown the session vector, the
+   object table, the remembered set and the blocks' object lists, a
+   request that runs no collection slice, assembles no block and places
+   no large object allocates only its outcome: the [Ok] block (2 words)
+   and the two-float record (3). *)
+let test_zero_alloc_tenant_serve () =
+  let d = { Cfg.default_device with Cfg.wear = Holes_pcm.Wear.default_params } in
+  let cfg = { Cfg.default with Cfg.backend = Cfg.Device d; gc_slice = 256 } in
+  let params = Tenant.default in
+  let vm =
+    Holes.Vm.create ~cfg
+      ~min_heap_bytes:(Holes_workload.Profile.min_heap params.Tenant.profile)
+      ()
+  in
+  let tenant = Tenant.make params (Rng.of_seed 5) in
+  let m = Holes.Vm.metrics vm in
+  let st = Option.get (Holes.Vm.device_state vm) in
+  for sp = 0 to Array.length st.Mb.virt_of_stock - 1 do
+    for line = 0 to Holes_pcm.Geometry.lines_per_page - 1 do
+      ignore (Mb.device_write st ~stock_page:sp ~line)
+    done
+  done;
+  let serve () =
+    match Tenant.serve tenant vm with Ok _ -> () | Error `Oom -> Alcotest.fail "tenant OOM"
+  in
+  for _ = 1 to 1_000 do
+    serve ()
+  done;
+  let measured = ref 0 and odd = ref [] in
+  for _ = 1 to 3_000 do
+    let events () =
+      m.M.gc_increments + m.M.nursery_gcs + m.M.full_gcs + m.M.blocks_assembled
+      + m.M.los_objects + m.M.device_line_failures
+    in
+    let e0 = events () in
+    let w0 = Gc.minor_words () in
+    serve ();
+    let w = int_of_float (Gc.minor_words () -. w0) in
+    if events () = e0 then begin
+      incr measured;
+      if w <> 5 then odd := w :: !odd
+    end
+  done;
+  check Alcotest.bool (Printf.sprintf "requests measured (%d)" !measured) true (!measured >= 200);
+  check Alcotest.(list int) "requests allocating more than their outcome (words)" [] !odd
+
+(* Words one wear-out costs on its way through the whole chain —
+   device write, failure buffer, interrupt queue, OS service, up-call,
+   and the runtime's retirement of the line — for a free line of an
+   assembled block under the incremental regime.  Exactly two
+   allocations remain: the device's one-element list of newly unusable
+   lines (3 words) and the OS's copy of the buffered payload with its
+   option (64 B payload: 10 words, [Some]: 2). *)
+let wear_out_words = 15
+
+let test_wear_out_words () =
+  let d = Cfg.default_device in
+  let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 40.0 } in
+  let cfg = { Cfg.default with Cfg.backend = Cfg.Device { d with Cfg.wear }; gc_slice = 256 } in
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
+  let s = immix_of vm in
+  let st = Option.get (Holes.Vm.device_state vm) in
+  let m = Holes.Vm.metrics vm in
+  (* one small object assembles a block; its last line stays free *)
+  let id = Holes.Vm.alloc vm ~size:32 () in
+  let b = Immix.block_of_addr s (Holes_heap.Object_table.addr (Holes.Vm.objects vm) id) in
+  let lines = Holes_pcm.Geometry.lines_per_page in
+  let stock_page = b.Holes_heap.Block.pages.(Holes_heap.Units.pages_per_block - 1) in
+  let costs = ref [] in
+  List.iter
+    (fun line ->
+      (* the first store commits the line's arena chunk *)
+      ignore (Mb.device_write st ~stock_page ~line);
+      let failed = ref false and n = ref 0 in
+      while not !failed do
+        incr n;
+        if !n > 100_000 then Alcotest.fail "line never wore out";
+        let f0 = m.M.dynamic_failures in
+        let w0 = Gc.minor_words () in
+        let r = Mb.device_write st ~stock_page ~line in
+        let w = int_of_float (Gc.minor_words () -. w0) in
+        match r with
+        | Mb.Stored -> if w <> 0 then Alcotest.failf "a stored write allocated %d words" w
+        | Mb.Skipped -> Alcotest.fail "line unusable before wearing out"
+        | Mb.Line_failed ->
+            failed := true;
+            if m.M.dynamic_failures <> f0 + 1 then Alcotest.fail "wear-out did not reach the heap";
+            costs := w :: !costs
+      done)
+    [ lines - 1; lines - 2; lines - 3 ];
+  check Alcotest.(list int) "words per wear-out" [ wear_out_words; wear_out_words; wear_out_words ]
+    !costs;
+  check Alcotest.bool "no cycle opened" false (Immix.incremental_active s)
+
 (* [bucket_of] against the frexp definition it replaced *)
 let bucket_of_ref (v : float) : int =
   if not (v >= 1.0) then 0
@@ -664,6 +815,9 @@ let suite =
     ("zero-allocation step: samplers and histogram", `Quick, test_zero_alloc_samplers);
     ("zero-allocation step: Vm.alloc bump path", `Quick, test_zero_alloc_bump);
     ("zero-allocation step: device_write", `Quick, test_zero_alloc_device_write);
+    ("zero-allocation step: GC slices", `Quick, test_zero_alloc_gc_slices);
+    ("zero-allocation step: Tenant.serve", `Quick, test_zero_alloc_tenant_serve);
+    ("zero-allocation step: one wear-out", `Quick, test_wear_out_words);
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 13 |]))

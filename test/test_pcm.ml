@@ -143,6 +143,72 @@ let test_buffer_capacity () =
   Alcotest.(check bool) "full buffer rejects" false
     (Failure_buffer.insert fb ~addr:3 ~data:(payload 'c'))
 
+(* The fixed ring against a list model of the buffer's contract (oldest
+   first, one entry per address, the watermark stall): random inserts,
+   clears and takes over a few addresses, with 64 B and 8 B payloads,
+   agree on every return value, the pending order, every forwarded
+   payload and the stall flag. *)
+let prop_buffer_ring_vs_list =
+  let op =
+    QCheck.Gen.(
+      map3
+        (fun k addr c -> (k, addr, c))
+        (int_range 0 2) (int_range 0 9) (map Char.chr (int_range 97 122)))
+  in
+  QCheck.Test.make ~name:"failure buffer ring = list model" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let capacity = 6 and watermark = 4 in
+      let fb = Failure_buffer.create ~capacity ~watermark () in
+      let model = ref [] and stalled = ref false in
+      let data_of addr c = Bytes.make (if addr land 1 = 0 then Geometry.line_bytes else 8) c in
+      let remove addr =
+        let before = List.length !model in
+        model := List.filter (fun (a, _) -> a <> addr) !model;
+        List.length !model < before
+      in
+      List.for_all
+        (fun (k, addr, c) ->
+          let ok =
+            match k with
+            | 0 ->
+                let data = data_of addr c in
+                let expect =
+                  if List.length !model >= capacity then false
+                  else begin
+                    ignore (remove addr);
+                    model := !model @ [ (addr, data) ];
+                    if List.length !model >= watermark then stalled := true;
+                    true
+                  end
+                in
+                Failure_buffer.insert fb ~addr ~data = expect
+            | 1 ->
+                let removed = remove addr in
+                if removed && List.length !model < watermark then stalled := false;
+                Failure_buffer.clear fb ~addr = removed
+            | _ -> (
+                let expect = List.assoc_opt addr !model in
+                if remove addr && List.length !model < watermark then stalled := false;
+                match (Failure_buffer.take fb ~addr, expect) with
+                | None, None -> true
+                | Some d, Some e -> Bytes.equal d e
+                | _ -> false)
+          in
+          ok
+          && Failure_buffer.occupancy fb = List.length !model
+          && Failure_buffer.is_stalled fb = !stalled
+          && List.map (fun (e : Failure_buffer.entry) -> e.Failure_buffer.addr)
+               (Failure_buffer.pending fb)
+             = List.map fst !model
+          && List.for_all
+               (fun (a, d) ->
+                 match Failure_buffer.forward fb ~addr:a with
+                 | Some f -> Bytes.equal f d
+                 | None -> false)
+               !model)
+        ops)
+
 (* ------------------------- Redirect ------------------------- *)
 
 let test_redirect_identity_before_failures () =
@@ -416,4 +482,6 @@ let suite =
     ("device unusable accounting", `Quick, test_device_unusable_accounting);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_redirect_cluster_contiguous; prop_cluster_transform_preserves ]
+      [
+        prop_redirect_cluster_contiguous; prop_cluster_transform_preserves; prop_buffer_ring_vs_list;
+      ]

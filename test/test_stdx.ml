@@ -383,6 +383,36 @@ let prop_heapq_sorts =
       in
       drain [] = List.sort compare keys)
 
+(* The non-option accessors against [min_key]/[pop] on twin heaps fed
+   the same interleaving of pushes (Some key) and pops (None): every
+   peek and pop agrees, ties included (the value records push order). *)
+let prop_heapq_accessors =
+  QCheck.Test.make ~name:"heapq min_key_or/pop_value agree with min_key/pop" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 200) (option small_int))
+    (fun ops ->
+      let a = Heapq.create ~dummy:(-1) and b = Heapq.create ~dummy:(-1) in
+      List.for_all
+        (fun (i, op) ->
+          (match op with
+          | Some k ->
+              Heapq.push a ~key:k i;
+              Heapq.push b ~key:k i
+          | None -> ());
+          let peek_ok =
+            match Heapq.min_key a with
+            | Some k -> Heapq.min_key_or b ~default:(-1) = k
+            | None -> Heapq.min_key_or b ~default:(-1) = -1
+          in
+          peek_ok
+          &&
+          match op with
+          | Some _ -> true
+          | None -> (
+              match Heapq.pop a with
+              | Some (_, v) -> Heapq.pop_value b = v
+              | None -> Heapq.pop_value b = -1 && Heapq.is_empty b))
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* ------------------------- Intvec ------------------------- *)
 
 let test_intvec_push_get () =
@@ -462,4 +492,10 @@ let suite =
     ("table render", `Quick, test_table_render);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_bitset_roundtrip; prop_bitset_count; prop_rle_roundtrip; prop_heapq_sorts ]
+      [
+        prop_bitset_roundtrip;
+        prop_bitset_count;
+        prop_rle_roundtrip;
+        prop_heapq_sorts;
+        prop_heapq_accessors;
+      ]

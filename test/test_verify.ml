@@ -130,23 +130,26 @@ let test_repro_command_shape () =
 
 (* seeds 0..3 run the static backend; seed 7 runs the device backend
    (start-gap leveling, migrate+caram tiering, tenant churn on a shared
-   node) *)
-let test_torture_seeds_clean (seeds : int list) () =
+   node); seed 39 draws a worn-out device (endurance 3, no correction
+   entries) whose wear-outs reach the collector, and by step 576 a
+   tier demotion's write-back stall drains into a collection whose
+   verifier once caught the page half-demoted *)
+let test_torture_seeds_clean ?(steps = 200) (seeds : int list) () =
   List.iter
     (fun seed ->
-      let o = Torture.run_one ~steps:200 ~seed () in
+      let o = Torture.run_one ~steps ~seed () in
       (match o.Torture.violation with
       | Some v ->
           Alcotest.failf "seed %d violated: %s (repro: %s)" seed v
-            (Torture.repro_command ~seed ~steps:200)
+            (Torture.repro_command ~seed ~steps)
       | None -> ());
       if o.Torture.verify_passes + o.Torture.explicit_verifies = 0 then
         Alcotest.failf "seed %d never ran the verifier" seed)
     seeds
 
-(* Torture's device seeds run at its default endurance and see no
-   wear-out within a test-sized schedule, so this drives the device
-   chain to wear-out directly: line retirements reach the collector
+(* Half of torture's device seeds run at the default endurance and see
+   no wear-out within a test-sized schedule; this drives the device
+   chain to wear-out directly, on a full workload: line retirements reach the collector
    through the interrupt chain, synchronously under stop-the-world and
    deferred to the cycle's defrag phase under a slice budget, with the
    paranoid verifier run after every collection and every slice. *)
@@ -185,5 +188,8 @@ let suite =
     ("torture repro command", `Quick, test_repro_command_shape);
     ("torture seeds 0..3 clean", `Quick, test_torture_seeds_clean [ 0; 1; 2; 3 ]);
     ("torture device seed 7 clean", `Quick, test_torture_seeds_clean [ 7 ]);
+    ( "torture worn-device seed 39 clean",
+      `Quick,
+      test_torture_seeds_clean ~steps:600 [ 39 ] );
     ("device wear-out retirements verify clean", `Quick, test_device_retirement_verifies);
   ]
