@@ -152,9 +152,9 @@ let bench_wear =
   Test.make ~name:"wear-line-to-failure" (Staged.stage (fun () ->
       let rng = Holes_stdx.Xrng.of_seed 11 in
       let p = Holes_pcm.Wear.fast_params in
-      let l = Holes_pcm.Wear.fresh_line rng p in
+      let w = Holes_pcm.Wear.create rng p 1 in
       let rec go () =
-        match Holes_pcm.Wear.write rng p l with
+        match Holes_pcm.Wear.write rng p w 0 with
         | Holes_pcm.Wear.Failed -> ()
         | _ -> go ()
       in

@@ -2,7 +2,7 @@
 
    Times the kernels that dominate trial throughput (hole search, small
    allocation under failures, full collection — stop-the-world and
-   incremental — and device writes) plus
+   incremental — device writes and OS page-pool frees) plus
    the wall-clock of the reduced `figures-quick` grid, and writes the
    results as `BENCH_hotpath.json`.  The committed copy of that file is
    the perf baseline: CI reruns the kernels and fails when any of them
@@ -237,6 +237,33 @@ let wear_out_kernel () : int * (unit -> unit) =
         if line < lines then wear_out ~stock_page ~line
       done )
 
+(* pool-free: one imperfect page's round trip through the OS page
+   pools — the grant from the top of the sorted stack and the free that
+   sinks the page back below its equals — over a pool of 1,024 pages
+   with 59 to 63 usable lines each, as a tenant detach returns them.
+   The free shifts the stack in place; the op's words are the grant's
+   [Some] (2). *)
+let pool_free_kernel () : int * (unit -> unit) =
+  let npages = 1024 in
+  let pools = Holes_osal.Pools.create ~dram_pages:0 ~pcm_pages:npages in
+  for page = 0 to npages - 1 do
+    for line = 0 to page mod 5 do
+      ignore (Holes_osal.Pools.mark_line_failed pools ~page ~line)
+    done
+  done;
+  let per_run = 256 in
+  let taken = Array.make per_run 0 in
+  ( per_run,
+    fun () ->
+      for i = 0 to per_run - 1 do
+        match Holes_osal.Pools.alloc_imperfect pools with
+        | Some id -> taken.(i) <- id
+        | None -> failwith "pool_free: pool ran dry"
+      done;
+      for i = 0 to per_run - 1 do
+        Holes_osal.Pools.free pools taken.(i)
+      done )
+
 (* device-write: the payload-store write path (no wear-outs: endurance is
    the production 1e8, so this isolates the arena from failure handling) *)
 let device_write_kernel () : int * (unit -> unit) =
@@ -414,6 +441,7 @@ let kernels : (string * (unit -> int * (unit -> unit))) list =
     ("gc_slice", gc_slice_kernel);
     ("device_write", device_write_kernel);
     ("wear_out", wear_out_kernel);
+    ("pool_free", pool_free_kernel);
     ("translate", translate_kernel);
     ("migrate", migrate_kernel);
     ("dedup", dedup_kernel);

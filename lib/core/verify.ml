@@ -332,12 +332,12 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
         (Hashtbl.length los.Los.entries) !los_slots);
 
   (* -- page stock ---------------------------------------------------- *)
-  Array.iter
-    (fun (p : Page_stock.page) ->
+  Array.iteri
+    (fun id (p : Page_stock.page) ->
       check c
         (p.Page_stock.failed_lines = Bitset.count p.Page_stock.bitmap)
         (fun () ->
-          Printf.sprintf "page %d failed_lines=%d, bitmap holds %d" p.Page_stock.id
+          Printf.sprintf "page %d failed_lines=%d, bitmap holds %d" id
             p.Page_stock.failed_lines
             (Bitset.count p.Page_stock.bitmap));
       check c
@@ -345,23 +345,28 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
         = Page_stock.count_usable_logical ~line_size:stock.Page_stock.line_size
             p.Page_stock.bitmap)
         (fun () ->
-          Printf.sprintf "page %d usable_logical=%d stale" p.Page_stock.id
+          Printf.sprintf "page %d usable_logical=%d stale" id
             p.Page_stock.usable_logical))
     stock.Page_stock.pages;
-  let pool_check name ids pred =
+  (* a pooled page must fit its pool and carry the pool's tag, which
+     [Page_stock.mark_line_failed] trusts instead of searching the pools *)
+  let pool_check name ids tag pred =
     Intvec.iter ids (fun id ->
         claim id;
+        let p = stock.Page_stock.pages.(id) in
         check c
-          (pred stock.Page_stock.pages.(id))
+          (pred p && p.Page_stock.pool = tag)
           (fun () -> Printf.sprintf "page %d misfiled in %s pool" id name))
   in
-  pool_check "perfect" stock.Page_stock.free_perfect (fun p -> p.Page_stock.failed_lines = 0);
-  pool_check "imperfect" stock.Page_stock.free_imperfect (fun p ->
+  pool_check "perfect" stock.Page_stock.free_perfect Page_stock.Free_perfect (fun p ->
+      p.Page_stock.failed_lines = 0);
+  pool_check "imperfect" stock.Page_stock.free_imperfect Page_stock.Free_imperfect (fun p ->
       p.Page_stock.failed_lines > 0 && p.Page_stock.usable_logical > 0);
-  pool_check "dead" stock.Page_stock.dead (fun p -> p.Page_stock.usable_logical = 0);
+  pool_check "dead" stock.Page_stock.dead Page_stock.Dead (fun p ->
+      p.Page_stock.usable_logical = 0);
   (* pages surrendered to repay DRAM debt went back to the OS: they are
      legitimately owned by nobody for the rest of the run *)
-  pool_check "repaid" stock.Page_stock.repaid (fun _ -> true);
+  pool_check "repaid" stock.Page_stock.repaid Page_stock.Held (fun _ -> true);
   check c
     (Intvec.length stock.Page_stock.repaid = Page_stock.repaid_pages stock)
     (fun () ->

@@ -118,9 +118,11 @@ let device_key (cfg : Holes.Config.t) : string =
       (* the -hyb name tag carries epoch/ways already, but the key spells
          the policy out anyway: a hybrid cell must never be served from
          an untiered memo entry, whatever the name derivation does *)
-      Printf.sprintf "dev:e%g:s%g:c%s:b%d:dr%d:wa%b:hy%s"
+      Printf.sprintf "dev:e%g:s%g:ecp%d:x%g:c%s:b%d:dr%d:wa%b:hy%s"
         d.Holes.Config.wear.Holes_pcm.Wear.mean_endurance
         d.Holes.Config.wear.Holes_pcm.Wear.sigma
+        d.Holes.Config.wear.Holes_pcm.Wear.ecp_entries
+        d.Holes.Config.wear.Holes_pcm.Wear.ecp_extension
         (match d.Holes.Config.clustering with None -> "-" | Some n -> string_of_int n)
         d.Holes.Config.buffer_capacity d.Holes.Config.dram_pages d.Holes.Config.wear_aware_pools
         (Holes_pcm.Hybrid.to_cli cfg.Holes.Config.hybrid)

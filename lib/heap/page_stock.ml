@@ -19,13 +19,18 @@
 
 open Holes_stdx
 
+(* which pool a page sits in; [Held] covers pages drawn by an
+   allocator and pages repaid to the OS *)
+type pool = Held | Free_perfect | Free_imperfect | Dead
+
+(* a page's id is its index in [pages] *)
 type page = {
-  id : int;
   bitmap : Bitset.t;
   mutable failed_lines : int;  (** failed 64 B PCM lines *)
   mutable usable_logical : int;
       (** logical (collector-line-size) lines with no failed PCM line;
           a page with none is *dead* for this run and never circulates *)
+  mutable pool : pool;  (** the pool holding the page: membership in O(1) *)
 }
 
 (* The page pools are LIFO stacks of page ids ([Intvec]s: push and pop
@@ -90,10 +95,10 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
         if Bitset.length bitmap <> lines_per_page then
           invalid_arg "Page_stock.create_of_bitmaps: bitmap is not one page";
         {
-          id = p;
           bitmap;
           failed_lines = Bitset.count bitmap;
           usable_logical = count_usable_logical ~line_size bitmap;
+          pool = Held;
         })
   in
   (* size each pool exactly, so filling it never regrows *)
@@ -108,14 +113,20 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
   and dead = Intvec.create ~capacity:!n_dead () in
   let usable = ref 0 in
   for p = npages - 1 downto 0 do
-    if pages.(p).failed_lines = 0 then begin
+    let pg = pages.(p) in
+    if pg.failed_lines = 0 then begin
       Intvec.push perfect p;
+      pg.pool <- Free_perfect;
       usable := !usable + lines_per_page
     end
-    else if pages.(p).usable_logical = 0 then Intvec.push dead p
+    else if pg.usable_logical = 0 then begin
+      Intvec.push dead p;
+      pg.pool <- Dead
+    end
     else begin
       Intvec.push imperfect p;
-      usable := !usable + lines_per_page - pages.(p).failed_lines
+      pg.pool <- Free_imperfect;
+      usable := !usable + lines_per_page - pg.failed_lines
     end
   done;
   {
@@ -178,12 +189,15 @@ let free_usable_bytes (t : t) : int = t.free_usable_lines * Holes_pcm.Geometry.l
 let rec take_relaxed (t : t) : int =
   if not (Intvec.is_empty t.free_imperfect) then begin
     let p = Intvec.pop_or t.free_imperfect ~default:(-1) in
-    t.free_usable_lines <- t.free_usable_lines - (lines_per_page - t.pages.(p).failed_lines);
+    let pg = t.pages.(p) in
+    pg.pool <- Held;
+    t.free_usable_lines <- t.free_usable_lines - (lines_per_page - pg.failed_lines);
     p
   end
   else if Intvec.is_empty t.free_perfect then -1
   else begin
     let p = Intvec.pop_or t.free_perfect ~default:(-1) in
+    t.pages.(p).pool <- Held;
     t.free_usable_lines <- t.free_usable_lines - lines_per_page;
     match Holes_osal.Accounting.relaxed_offer_perfect t.accounting with
     | `Keep -> p
@@ -205,6 +219,7 @@ type perfect_grant = Perfect of int | Borrowed | Exhausted
 let take_perfect (t : t) : perfect_grant =
   if not (Intvec.is_empty t.free_perfect) then begin
     let p = Intvec.pop_or t.free_perfect ~default:(-1) in
+    t.pages.(p).pool <- Held;
     t.free_usable_lines <- t.free_usable_lines - lines_per_page;
     Holes_osal.Accounting.fussy_request t.accounting ~pages:1 ~available:1;
     Perfect p
@@ -228,11 +243,16 @@ let return_page (t : t) (id : int) : unit =
   let p = t.pages.(id) in
   if p.failed_lines = 0 then begin
     Intvec.push t.free_perfect id;
+    p.pool <- Free_perfect;
     t.free_usable_lines <- t.free_usable_lines + lines_per_page
   end
-  else if p.usable_logical = 0 then Intvec.push t.dead id
+  else if p.usable_logical = 0 then begin
+    Intvec.push t.dead id;
+    p.pool <- Dead
+  end
   else begin
     Intvec.push t.free_imperfect id;
+    p.pool <- Free_imperfect;
     t.free_usable_lines <- t.free_usable_lines + (lines_per_page - p.failed_lines)
   end
 
@@ -253,13 +273,14 @@ let repaid_pages (t : t) : int = t.repaid_pages
 (** Record a *dynamic* failure of 64 B PCM line [line] on page [id], so
     that future users of the page (reassembled blocks, swap decisions)
     see the hole.  A free perfect page that gains its first failure
-    migrates to the imperfect pool. *)
+    migrates to the imperfect pool.  The page's pool tag answers
+    membership in O(1); only a page that must leave its pool pays the
+    order-keeping removal. *)
 let mark_line_failed (t : t) ~(id : int) ~(line : int) : unit =
   let p = t.pages.(id) in
   if not (Bitset.get p.bitmap line) then begin
-    let was_perfect = p.failed_lines = 0 in
-    let in_perfect = was_perfect && Intvec.mem t.free_perfect id in
-    let in_imperfect = (not was_perfect) && Intvec.mem t.free_imperfect id in
+    let in_perfect = p.pool = Free_perfect in
+    let in_imperfect = p.pool = Free_imperfect in
     let old_usable = lines_per_page - p.failed_lines in
     Bitset.set p.bitmap line;
     p.failed_lines <- p.failed_lines + 1;
@@ -274,7 +295,8 @@ let mark_line_failed (t : t) ~(id : int) ~(line : int) : unit =
       if p.usable_logical = 0 then begin
         Intvec.remove_all t.free_imperfect id;
         t.free_usable_lines <- t.free_usable_lines - old_usable;
-        Intvec.push t.dead id
+        Intvec.push t.dead id;
+        p.pool <- Dead
       end
       else t.free_usable_lines <- t.free_usable_lines - 1
     end

@@ -21,13 +21,23 @@
     the pool discipline and accounting from scratch; allocators go
     through the functions below. *)
 
+(** Which pool holds a page. *)
+type pool =
+  | Held  (** drawn by an allocator, or surrendered to the OS as repayment *)
+  | Free_perfect
+  | Free_imperfect
+  | Dead
+
+(** A page's id is its index in [pages]. *)
 type page = {
-  id : int;
   bitmap : Holes_stdx.Bitset.t;
   mutable failed_lines : int;  (** failed 64 B PCM lines *)
   mutable usable_logical : int;
       (** logical (collector-line-size) lines with no failed PCM line;
           a page with none is {e dead} for this run and never circulates *)
+  mutable pool : pool;
+      (** the pool holding the page, kept with every push and pop so a
+          retirement finds the page's pool in O(1) *)
 }
 
 type t = {

@@ -113,27 +113,36 @@ let summary_string (h : hist) : string =
   Printf.sprintf "n=%d mean=%.1f p50=%.0f p99=%.0f max=%.1f" h.count (mean h) (quantile h 0.5)
     (quantile h 0.99) (max_value h)
 
-(* running moments: count / sum / sum of squares *)
+(* running moments: count / sum / sum of squares.  An all-float record
+   is stored flat, so its fields update in place with no boxing; the
+   count is exact in a float up to 2^53 observations. *)
 
-type moments = { mutable m_count : int; mutable m_sum : float; mutable m_sumsq : float }
+type moments = { mutable m_count : float; mutable m_sum : float; mutable m_sumsq : float }
 
-let moments () : moments = { m_count = 0; m_sum = 0.0; m_sumsq = 0.0 }
+let moments () : moments = { m_count = 0.0; m_sum = 0.0; m_sumsq = 0.0 }
 
-let accumulate (m : moments) (v : float) : unit =
-  m.m_count <- m.m_count + 1;
+let reset_moments (m : moments) : unit =
+  m.m_count <- 0.0;
+  m.m_sum <- 0.0;
+  m.m_sumsq <- 0.0
+
+let[@inline] accumulate (m : moments) (v : float) : unit =
+  m.m_count <- m.m_count +. 1.0;
   m.m_sum <- m.m_sum +. v;
   m.m_sumsq <- m.m_sumsq +. (v *. v)
 
-let moments_mean (m : moments) : float =
-  if m.m_count = 0 then 0.0 else m.m_sum /. float_of_int m.m_count
+let[@inline] moments_mean (m : moments) : float =
+  if m.m_count = 0.0 then 0.0 else m.m_sum /. m.m_count
 
-let moments_stddev (m : moments) : float =
-  if m.m_count = 0 then 0.0
+let[@inline] moments_stddev (m : moments) : float =
+  if m.m_count = 0.0 then 0.0
   else
-    let n = float_of_int m.m_count in
+    let n = m.m_count in
     let mean = m.m_sum /. n in
-    sqrt (Float.max 0.0 ((m.m_sumsq /. n) -. (mean *. mean)))
+    let var = (m.m_sumsq /. n) -. (mean *. mean) in
+    (* [Float.max 0.0 var] without its boxing call: NaN passes through *)
+    sqrt (if var > 0.0 || Float.is_nan var then var else 0.0)
 
-let cov (m : moments) : float =
+let[@inline] cov (m : moments) : float =
   let mean = moments_mean m in
   if mean <= 0.0 then 0.0 else moments_stddev m /. mean

@@ -118,15 +118,22 @@ val summary_string : hist -> string
 
     A constant-space accumulator for dispersion statistics — used for
     the wear coefficient-of-variation over a device's per-line write
-    counts, where a histogram's power-of-two quantiles are too coarse. *)
+    counts, where a histogram's power-of-two quantiles are too coarse.
+    An accumulator holds only floats (the count too, exact up to 2{^53}
+    observations), so [accumulate] updates it in place without boxing;
+    it and the readers below are inlined, so a fold over a device's
+    lines allocates nothing. *)
 
 type moments
 
 val moments : unit -> moments
 (** A fresh, empty accumulator. *)
 
+val reset_moments : moments -> unit
+(** Empty the accumulator, for reuse. *)
+
 val accumulate : moments -> float -> unit
-(** Fold one observation in. *)
+(** Fold one observation in.  O(1), allocation-free. *)
 
 val moments_mean : moments -> float
 (** Mean observation (0 when empty). *)

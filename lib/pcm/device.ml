@@ -50,7 +50,8 @@ type t = {
   nlines : int;
   seed : int;
   rng : Xrng.t;
-  lines : Wear.line array;  (** indexed by physical line *)
+  wear : Wear.t;  (** per-line wear state, indexed by physical line *)
+  cov_scratch : Holes_obs.Stats.moments;  (** [wear_cov]'s accumulator, reused *)
   arena : Bytes.t option array;
       (** payload store: a flat arena of 64 KB chunks indexed by
           [physical / chunk_lines], committed lazily on first write *)
@@ -201,7 +202,7 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
           let ps = downstream t src and pd = downstream t dst in
           line_copy_out t ps scratch_a;
           line_copy_in t pd scratch_a;
-          ignore (Wear.write t.rng t.config.wear t.lines.(pd));
+          ignore (Wear.write t.rng t.config.wear t.wear pd);
           if Trace.armed t.tracer then
             Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_gap_move"
               ~args:[ ("src", float_of_int ps); ("dst", float_of_int pd) ]);
@@ -212,8 +213,8 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
           line_copy_out t pb scratch_b;
           line_copy_in t pa scratch_b;
           line_copy_in t pb scratch_a;
-          ignore (Wear.write t.rng t.config.wear t.lines.(pa));
-          ignore (Wear.write t.rng t.config.wear t.lines.(pb));
+          ignore (Wear.write t.rng t.config.wear t.wear pa);
+          ignore (Wear.write t.rng t.config.wear t.wear pb);
           if Trace.armed t.tracer then
             Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_remap"
               ~args:[ ("a", float_of_int pa); ("b", float_of_int pb) ]);
@@ -230,7 +231,7 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
 let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : t =
   let nlines = config.pages * Geometry.lines_per_page in
   let rng = Xrng.of_seed seed in
-  let lines = Array.init nlines (fun _ -> Wear.fresh_line rng config.wear) in
+  let wear = Wear.create rng config.wear nlines in
   let regions, region_lines =
     match config.clustering with
     | None -> ([||], nlines)
@@ -248,7 +249,8 @@ let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : 
       nlines;
       seed;
       rng;
-      lines;
+      wear;
+      cov_scratch = Holes_obs.Stats.moments ();
       arena = Array.make ((nlines + chunk_lines - 1) / chunk_lines) None;
       buffer = Failure_buffer.create ~capacity:config.buffer_capacity ();
       regions;
@@ -286,7 +288,7 @@ let preinstall_failures (t : t) (map : Bitset.t) : unit =
   if Bitset.length map > t.nlines then
     invalid_arg "Device.preinstall_failures: map larger than the device";
   Bitset.iter_set map (fun physical ->
-      t.lines.(physical).Wear.failed <- true;
+      Wear.mark_failed t.wear physical;
       mark_unusable t (chain_failure t physical));
   (* a boot failure can swallow start-gap's freshly reserved gap — in
      particular the clustering metadata freeze lands on region-start
@@ -358,7 +360,7 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
         Stored
     | _ ->
     let physical = translate_for_write t logical in
-    match Wear.write t.rng t.config.wear t.lines.(physical) with
+    match Wear.write t.rng t.config.wear t.wear physical with
     | Wear.Ok | Wear.Corrected ->
         line_copy_in t physical payload;
         Stored
@@ -488,10 +490,15 @@ let check_translation (t : t) : (unit, string) result =
 (** Coefficient of variation of per-line wear (write counts) across the
     module: ~0 under perfect leveling, large when traffic concentrates.
     The paper's Sec. 7.2 ablation reads this as "how level is the
-    wear". *)
-let wear_cov (t : t) : float =
-  let m = Holes_obs.Stats.moments () in
-  Array.iter (fun l -> Holes_obs.Stats.accumulate m (float_of_int l.Wear.writes)) t.lines;
+    wear".  Allocation-free: it folds the flat write counts into the
+    device's reused accumulator, and inlines so the result is not boxed
+    to cross the call. *)
+let[@inline] wear_cov (t : t) : float =
+  let m = t.cov_scratch and writes = t.wear.Wear.writes in
+  Holes_obs.Stats.reset_moments m;
+  for i = 0 to Array.length writes - 1 do
+    Holes_obs.Stats.accumulate m (float_of_int (Array.unsafe_get writes i))
+  done;
   Holes_obs.Stats.cov m
 
 (** Accumulated write count over the physical lines currently backing
@@ -504,7 +511,7 @@ let page_wear (t : t) (page : int) : int =
   let base = page * Geometry.lines_per_page in
   let acc = ref 0 in
   for i = 0 to Geometry.lines_per_page - 1 do
-    acc := !acc + t.lines.(physical_of_logical t (base + i)).Wear.writes
+    acc := !acc + t.wear.Wear.writes.(physical_of_logical t (base + i))
   done;
   !acc
 

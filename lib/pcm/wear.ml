@@ -25,52 +25,70 @@ let default_params =
     within a test run. *)
 let fast_params = { default_params with mean_endurance = 2000.0 }
 
-type line = {
-  mutable writes : int;  (** total writes performed on this line *)
-  mutable budget : int;  (** writes remaining before the next cell failure *)
-  mutable ecp_used : int;  (** correction entries consumed *)
-  mutable failed : bool;
-}
-
 (* lognormal with the requested arithmetic mean: mean = exp(mu + sigma^2/2) *)
 let draw_endurance (rng : Holes_stdx.Xrng.t) (p : params) : int =
   let mu = log p.mean_endurance -. (p.sigma *. p.sigma /. 2.0) in
   let e = Holes_stdx.Dist.lognormal rng ~mu ~sigma:p.sigma in
-  max 1 (int_of_float e)
+  Int.max 1 (int_of_float e)
 
-let fresh_line (rng : Holes_stdx.Xrng.t) (p : params) : line =
-  { writes = 0; budget = draw_endurance rng p; ecp_used = 0; failed = false }
+(** The wear state of a module's lines, in flat arrays indexed by
+    physical line: no record per line, so creating a device allocates a
+    handful of arrays (off the minor heap once they are large) whatever
+    its size, and a write touches only unboxed ints. *)
+type t = {
+  writes : int array;  (** total writes performed on each line *)
+  budget : int array;  (** writes remaining before the line's next cell failure *)
+  ecp_used : int array;  (** correction entries consumed *)
+  failed : Holes_stdx.Bitset.t;  (** lines whose correction is exhausted *)
+}
+
+(** [create rng p n] draws the endurance budgets of lines [0 .. n-1], in
+    that order, from [rng]. *)
+let create (rng : Holes_stdx.Xrng.t) (p : params) (n : int) : t =
+  let budget = Array.make n 0 in
+  for i = 0 to n - 1 do
+    budget.(i) <- draw_endurance rng p
+  done;
+  {
+    writes = Array.make n 0;
+    budget;
+    ecp_used = Array.make n 0;
+    failed = Holes_stdx.Bitset.create n;
+  }
+
+let is_failed (t : t) (i : int) : bool = Holes_stdx.Bitset.get t.failed i
+
+(** Mark line [i] failed without a write (a manufacturing-time failure). *)
+let mark_failed (t : t) (i : int) : unit = Holes_stdx.Bitset.set t.failed i
 
 type write_outcome =
   | Ok  (** the write stored correctly *)
   | Corrected  (** a cell failed but an ECP entry absorbed it *)
   | Failed  (** correction exhausted: the line has permanently failed *)
 
-(** [write rng p l] performs one write on line [l], advancing the wear
-    process.  Writes to an already-failed line report [Failed] without
+(** [write rng p t i] performs one write on line [i], advancing the wear
+    process; an ECP correction draws the extension's endurance from
+    [rng].  Writes to an already-failed line report [Failed] without
     further state change (real hardware would never see them: the OS
     unmaps failed lines). *)
-let write (rng : Holes_stdx.Xrng.t) (p : params) (l : line) : write_outcome =
-  if l.failed then Failed
+let write (rng : Holes_stdx.Xrng.t) (p : params) (t : t) (i : int) : write_outcome =
+  if is_failed t i then Failed
   else begin
-    l.writes <- l.writes + 1;
-    l.budget <- l.budget - 1;
-    if l.budget > 0 then Ok
-    else if l.ecp_used < p.ecp_entries then begin
-      l.ecp_used <- l.ecp_used + 1;
-      l.budget <- max 1 (int_of_float (float_of_int (draw_endurance rng p) *. p.ecp_extension));
+    t.writes.(i) <- t.writes.(i) + 1;
+    let budget = t.budget.(i) - 1 in
+    t.budget.(i) <- budget;
+    if budget > 0 then Ok
+    else if t.ecp_used.(i) < p.ecp_entries then begin
+      t.ecp_used.(i) <- t.ecp_used.(i) + 1;
+      t.budget.(i) <-
+        Int.max 1 (int_of_float (float_of_int (draw_endurance rng p) *. p.ecp_extension));
       Corrected
     end
     else begin
-      l.failed <- true;
+      mark_failed t i;
       Failed
     end
   end
-
-(** Fraction of the line's correction resources consumed, in [0, 1]. *)
-let ecp_utilization (p : params) (l : line) : float =
-  if p.ecp_entries = 0 then if l.failed then 1.0 else 0.0
-  else float_of_int l.ecp_used /. float_of_int p.ecp_entries
 
 (** {2 Endurance variation shapes}
 

@@ -65,6 +65,21 @@ let drop_prefix (t : t) (n : int) : unit =
     t.len <- keep
   end
 
+(** [insert_at t i x] puts [x] at index [i] ([0 <= i <= length t]),
+    shifting the elements from [i] up by one (order kept). *)
+let insert_at (t : t) (i : int) (x : int) : unit =
+  if i < 0 || i > t.len then invalid_arg "Intvec.insert_at: out of bounds";
+  push t x;
+  Array.blit t.data i t.data (i + 1) (t.len - 1 - i);
+  t.data.(i) <- x
+
+(** [remove_at t i] drops the element at index [i], shifting the ones
+    above it down by one (order kept). *)
+let remove_at (t : t) (i : int) : unit =
+  if i < 0 || i >= t.len then invalid_arg "Intvec.remove_at: out of bounds";
+  Array.blit t.data (i + 1) t.data i (t.len - 1 - i);
+  t.len <- t.len - 1
+
 (** Keep only the first [n] elements ([n] is clamped to the length). *)
 let truncate (t : t) (n : int) : unit = if n < t.len then t.len <- max 0 n
 

@@ -23,6 +23,21 @@ let test_runner_memoizes () =
   let o2 = R.run ~params:tiny ~cfg:Cfg.default ~profile:Holes_workload.Dacapo.luindex () in
   Alcotest.(check bool) "same cached outcome" true (o1 == o2)
 
+(* [Config.name] shows the endurance only, so the cache key must spell
+   out the correction budget: configs differing in ECP entries or in
+   their extension must not share a memo entry *)
+let test_runner_key_ecp () =
+  let d = Cfg.default_device in
+  let with_wear f = { Cfg.default with Cfg.backend = Cfg.Device { d with Cfg.wear = f d.Cfg.wear } } in
+  let base = with_wear Fun.id in
+  let fewer = with_wear (fun w -> { w with Holes_pcm.Wear.ecp_entries = 0 }) in
+  let shorter = with_wear (fun w -> { w with Holes_pcm.Wear.ecp_extension = 0.5 }) in
+  let profile = Holes_workload.Dacapo.luindex in
+  check Alcotest.string "names stay the same" (Cfg.name base) (Cfg.name fewer);
+  check Alcotest.string "names stay the same" (Cfg.name base) (Cfg.name shorter);
+  let keys = List.map (fun c -> R.cache_key c profile tiny) [ base; fewer; shorter ] in
+  check Alcotest.int "three distinct keys" 3 (List.length (List.sort_uniq compare keys))
+
 let test_runner_seed_variation () =
   (* different seeds produce (at least slightly) different times *)
   let o = R.run ~params:{ R.scale = 0.05; seeds = 3; jobs = 1 } ~cfg:Cfg.default
@@ -73,6 +88,7 @@ let suite =
   [
     ("runner basic", `Quick, test_runner_basic);
     ("runner memoizes", `Quick, test_runner_memoizes);
+    ("runner key spells out the ECP budget", `Quick, test_runner_key_ecp);
     ("runner seed variation", `Quick, test_runner_seed_variation);
     ("geomean self-normalization", `Quick, test_geomean_normalized_baseline_is_one);
     ("wear map properties", `Quick, test_wear_map_properties);

@@ -775,6 +775,73 @@ let test_wear_out_words () =
     !costs;
   check Alcotest.bool "no cycle opened" false (Immix.incremental_active s)
 
+module Device = Holes_pcm.Device
+module Pools = Holes_osal.Pools
+
+(* [Device.wear_cov], which every stats sync of a device-backed VM
+   runs, folds the flat per-line write counts into the device's reused
+   all-float accumulator and is inlined into its caller: no closure, no
+   boxed float, no fresh accumulator. *)
+let test_zero_alloc_wear_cov () =
+  let config =
+    { Device.default_config with Device.pages = 64; clustering = None; wear = Holes_pcm.Wear.default_params }
+  in
+  let dev = Device.create ~config ~seed:3 () in
+  let payload = Bytes.make Holes_pcm.Geometry.line_bytes 'c' in
+  (* an uneven write count per line, so the CoV is not 0 *)
+  for l = 0 to Device.nlines dev - 1 do
+    for _ = 0 to l mod 7 do
+      ignore (Device.write dev l payload)
+    done
+  done;
+  let fsink = [| 0.0 |] in
+  check_zero "Device.wear_cov" (fun _ -> fsink.(0) <- fsink.(0) +. Device.wear_cov dev);
+  check Alcotest.bool "wear CoV is positive" true (fsink.(0) > 0.0)
+
+(* [Pools.free] of an imperfect page shifts the sorted stack in place.
+   The pool holds 1,024 pages with 59 to 63 usable lines; each measured
+   free returns the page just granted from the top, after one more of
+   its lines failed while it was out, so it sinks below its equals. *)
+let test_zero_alloc_pool_free () =
+  let npages = 1024 in
+  let pools = Pools.create ~dram_pages:0 ~pcm_pages:npages in
+  for page = 0 to npages - 1 do
+    for line = 0 to page mod 5 do
+      ignore (Pools.mark_line_failed pools ~page ~line)
+    done
+  done;
+  check Alcotest.int "all pages imperfect" npages (Pools.free_imperfect_count pools);
+  let words = ref 0 in
+  for _ = 1 to zero_alloc_calls do
+    let id = Option.get (Pools.alloc_imperfect pools) in
+    let page = Pools.page pools id in
+    ignore (Pools.mark_line_failed pools ~page:id ~line:(Holes_osal.Page.failed_lines page));
+    let w0 = Gc.minor_words () in
+    Pools.free pools id;
+    words := !words + int_of_float (Gc.minor_words () -. w0)
+  done;
+  check Alcotest.int "pool stays whole" npages (Pools.free_imperfect_count pools);
+  check Alcotest.int
+    (Printf.sprintf "Pools.free: minor words over %d calls" zero_alloc_calls)
+    0 !words
+
+(* [Device.create] keeps the wear state in flat arrays, which go
+   straight to the major heap once they pass the minor heap's size
+   limit, so its minor words do not grow with the device.  What
+   remains are the fixed records and closures and the arrays still
+   small enough for the minor heap. *)
+let test_device_create_words () =
+  let words pages =
+    let config = { Device.default_config with Device.pages; clustering = None } in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Device.create ~config ~seed:5 ()));
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let small = words 64 and large = words 8192 in
+  check Alcotest.bool
+    (Printf.sprintf "Device.create minor words: %d at 8,192 pages, %d at 64" large small)
+    true (large <= small)
+
 (* [bucket_of] against the frexp definition it replaced *)
 let bucket_of_ref (v : float) : int =
   if not (v >= 1.0) then 0
@@ -818,6 +885,9 @@ let suite =
     ("zero-allocation step: GC slices", `Quick, test_zero_alloc_gc_slices);
     ("zero-allocation step: Tenant.serve", `Quick, test_zero_alloc_tenant_serve);
     ("zero-allocation step: one wear-out", `Quick, test_wear_out_words);
+    ("zero-allocation step: Device.wear_cov", `Quick, test_zero_alloc_wear_cov);
+    ("zero-allocation step: Pools.free", `Quick, test_zero_alloc_pool_free);
+    ("zero-allocation step: Device.create words flat", `Quick, test_device_create_words);
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 13 |]))

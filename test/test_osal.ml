@@ -277,6 +277,228 @@ let test_swap_clustered_count () =
   Alcotest.(check bool) "more failures incompatible" false
     (Swap.compatible ~policy:Swap.Clustered_count ~src_map:b ~dest_map:a)
 
+(* ------------------------- Pools vs list reference ------------------------- *)
+
+(* The page pools as singly linked free lists, the head granted next —
+   the representation [Pools] replaced with int stacks.  Kept here as
+   the reference the stacks must reproduce grant for grant. *)
+module Ref_pools = struct
+  type t = {
+    pages : Page.t array;
+    mutable free_dram : int list;
+    mutable free_perfect : int list;
+    mutable free_imperfect : int list;
+    allocated : (int, unit) Hashtbl.t;
+    mutable wear_rank : (int -> int) option;
+  }
+
+  let create ~dram_pages ~pcm_pages =
+    {
+      pages =
+        Array.init (dram_pages + pcm_pages) (fun id ->
+            Page.create ~id ~kind:(if id < dram_pages then Page.Dram else Page.Pcm_perfect));
+      free_dram = List.init dram_pages Fun.id;
+      free_perfect = List.init pcm_pages (fun i -> dram_pages + i);
+      free_imperfect = [];
+      allocated = Hashtbl.create 64;
+      wear_rank = None;
+    }
+
+  let grant t id =
+    Hashtbl.replace t.allocated id ();
+    Some id
+
+  let alloc_dram t =
+    match t.free_dram with
+    | [] -> None
+    | id :: rest ->
+        t.free_dram <- rest;
+        grant t id
+
+  let alloc_perfect t =
+    match (t.wear_rank, t.free_perfect) with
+    | _, [] -> None
+    | None, id :: rest ->
+        t.free_perfect <- rest;
+        grant t id
+    | Some rank, first :: rest ->
+        let best, _ =
+          List.fold_left
+            (fun (b, br) id ->
+              let r = rank id in
+              if r < br then (id, r) else (b, br))
+            (first, rank first) rest
+        in
+        t.free_perfect <- List.filter (fun x -> x <> best) t.free_perfect;
+        grant t best
+
+  let alloc_imperfect t =
+    match t.free_imperfect with
+    | [] -> None
+    | id :: rest ->
+        t.free_imperfect <- rest;
+        grant t id
+
+  let alloc_pcm_any t = match alloc_imperfect t with Some id -> Some id | None -> alloc_perfect t
+
+  let insert_imperfect_sorted t id =
+    let u = Page.usable_lines t.pages.(id) in
+    let rec ins = function
+      | [] -> [ id ]
+      | x :: rest as l -> if Page.usable_lines t.pages.(x) < u then id :: l else x :: ins rest
+    in
+    t.free_imperfect <- ins t.free_imperfect
+
+  let free t id =
+    if not (Hashtbl.mem t.allocated id) then invalid_arg "Pools.free: page not allocated";
+    Hashtbl.remove t.allocated id;
+    match t.pages.(id).Page.kind with
+    | Page.Dram -> t.free_dram <- id :: t.free_dram
+    | Page.Pcm_perfect -> t.free_perfect <- id :: t.free_perfect
+    | Page.Pcm_imperfect -> insert_imperfect_sorted t id
+
+  let renormalize t =
+    let dram = ref [] and perfect = ref [] and imperfect = ref [] in
+    for id = Array.length t.pages - 1 downto 0 do
+      if not (Hashtbl.mem t.allocated id) then
+        match t.pages.(id).Page.kind with
+        | Page.Dram -> dram := id :: !dram
+        | Page.Pcm_perfect -> perfect := id :: !perfect
+        | Page.Pcm_imperfect -> imperfect := id :: !imperfect
+    done;
+    t.free_dram <- !dram;
+    t.free_perfect <- !perfect;
+    t.free_imperfect <-
+      List.stable_sort
+        (fun a b -> compare (Page.usable_lines t.pages.(b)) (Page.usable_lines t.pages.(a)))
+        !imperfect
+
+  let mark_line_failed t ~page ~line =
+    let was_free_perfect = List.mem page t.free_perfect in
+    let changed = Page.mark_line_failed t.pages.(page) ~line in
+    if changed && was_free_perfect then begin
+      t.free_perfect <- List.filter (fun x -> x <> page) t.free_perfect;
+      insert_imperfect_sorted t page
+    end;
+    changed
+end
+
+type pool_op =
+  | Alloc_dram
+  | Alloc_perfect
+  | Alloc_imperfect
+  | Alloc_pcm_any
+  | Free of int  (** the k-th allocated page, ascending, modulo their number *)
+  | Fail of int * int  (** [mark_line_failed] on PCM page k (modulo), line *)
+  | Fail_free_imperfect of int * int
+      (** a failure on the k-th page of the reference's free imperfect
+          list: leaves the pool unsorted *)
+  | Raw_fail of int * int  (** the page alone, pools left stale (boot-scan import) *)
+  | Renormalize
+  | Rank of bool  (** install or clear the wear rank *)
+  | Wear of int * int  (** add wear to PCM page k *)
+
+let pool_op_gen =
+  QCheck.Gen.(
+    let k = int_range 0 63 and line = int_range 0 63 in
+    frequency
+      [
+        (4, return Alloc_dram);
+        (6, return Alloc_perfect);
+        (5, return Alloc_imperfect);
+        (4, return Alloc_pcm_any);
+        (12, map (fun k -> Free k) k);
+        (8, map2 (fun k l -> Fail (k, l)) k line);
+        (5, map2 (fun k l -> Fail_free_imperfect (k, l)) k line);
+        (1, map2 (fun k l -> Raw_fail (k, l)) k line);
+        (1, return Renormalize);
+        (2, map (fun b -> Rank b) bool);
+        (4, map2 (fun k w -> Wear (k, w)) k (int_range 0 5));
+      ])
+
+let pool_op_print = function
+  | Alloc_dram -> "alloc_dram"
+  | Alloc_perfect -> "alloc_perfect"
+  | Alloc_imperfect -> "alloc_imperfect"
+  | Alloc_pcm_any -> "alloc_pcm_any"
+  | Free k -> Printf.sprintf "free#%d" k
+  | Fail (k, l) -> Printf.sprintf "fail(%d,%d)" k l
+  | Fail_free_imperfect (k, l) -> Printf.sprintf "fail_free_imperfect(%d,%d)" k l
+  | Raw_fail (k, l) -> Printf.sprintf "raw_fail(%d,%d)" k l
+  | Renormalize -> "renormalize"
+  | Rank b -> Printf.sprintf "rank %b" b
+  | Wear (k, w) -> Printf.sprintf "wear(%d,+%d)" k w
+
+(* Random sequences of every pool operation, on pools of 0-3 DRAM and
+   1-24 PCM pages, give the same grants, results and counts on the
+   stacks as on the lists; draining every pool at the end compares the
+   complete free orders. *)
+let prop_pools_vs_lists =
+  QCheck.Test.make ~name:"pools stacks = list reference" ~count:400
+    (QCheck.make
+       ~print:(fun (d, p, ops) ->
+         Printf.sprintf "dram=%d pcm=%d [%s]" d p (String.concat "; " (List.map pool_op_print ops)))
+       QCheck.Gen.(triple (int_range 0 3) (int_range 1 24) (list_size (int_range 0 150) pool_op_gen)))
+    (fun (dram_pages, pcm_pages, ops) ->
+      let t = Pools.create ~dram_pages ~pcm_pages in
+      let r = Ref_pools.create ~dram_pages ~pcm_pages in
+      let wear = Array.make (dram_pages + pcm_pages) 0 in
+      let rank id = wear.(id) in
+      let pcm k = dram_pages + (k mod pcm_pages) in
+      let counts () =
+        Pools.free_dram_count t = List.length r.Ref_pools.free_dram
+        && Pools.free_perfect_count t = List.length r.Ref_pools.free_perfect
+        && Pools.free_imperfect_count t = List.length r.Ref_pools.free_imperfect
+      in
+      let fail page line =
+        Pools.mark_line_failed t ~page ~line = Ref_pools.mark_line_failed r ~page ~line
+      in
+      let step op =
+        match op with
+        | Alloc_dram -> Pools.alloc_dram t = Ref_pools.alloc_dram r
+        | Alloc_perfect -> Pools.alloc_perfect t = Ref_pools.alloc_perfect r
+        | Alloc_imperfect -> Pools.alloc_imperfect t = Ref_pools.alloc_imperfect r
+        | Alloc_pcm_any -> Pools.alloc_pcm_any t = Ref_pools.alloc_pcm_any r
+        | Free k -> (
+            match List.sort compare (Hashtbl.fold (fun id () l -> id :: l) r.Ref_pools.allocated []) with
+            | [] -> true
+            | ids ->
+                let id = List.nth ids (k mod List.length ids) in
+                Pools.free t id;
+                Ref_pools.free r id;
+                true)
+        | Fail (k, line) -> fail (pcm k) line
+        | Fail_free_imperfect (k, line) -> (
+            match r.Ref_pools.free_imperfect with
+            | [] -> true
+            | l -> fail (List.nth l (k mod List.length l)) line)
+        | Raw_fail (k, line) ->
+            let page = pcm k in
+            Page.mark_line_failed (Pools.page t page) ~line
+            = Page.mark_line_failed r.Ref_pools.pages.(page) ~line
+        | Renormalize ->
+            Pools.renormalize t;
+            Ref_pools.renormalize r;
+            true
+        | Rank on ->
+            let rank = if on then Some rank else None in
+            Pools.set_wear_rank t rank;
+            r.Ref_pools.wear_rank <- rank;
+            true
+        | Wear (k, w) ->
+            wear.(pcm k) <- wear.(pcm k) + w;
+            true
+      in
+      let rec drain alloc_t alloc_r =
+        let g = alloc_t t in
+        g = alloc_r r && (g = None || drain alloc_t alloc_r)
+      in
+      List.for_all (fun op -> step op && counts ()) ops
+      && drain Pools.alloc_imperfect Ref_pools.alloc_imperfect
+      && drain Pools.alloc_perfect Ref_pools.alloc_perfect
+      && drain Pools.alloc_dram Ref_pools.alloc_dram
+      && counts ())
+
 let suite =
   [
     ("page kinds", `Quick, test_page_kinds);
@@ -301,3 +523,6 @@ let suite =
     ("swap policies", `Quick, test_swap_policies);
     ("swap clustered count", `Quick, test_swap_clustered_count);
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 17 |]))
+      [ prop_pools_vs_lists ]

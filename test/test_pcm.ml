@@ -50,11 +50,11 @@ let test_wear_level_translate_identity () =
 let test_wear_exhaustion () =
   let rng = Xrng.of_seed 1 in
   let p = { Wear.mean_endurance = 50.0; sigma = 0.1; ecp_entries = 2; ecp_extension = 0.1 } in
-  let l = Wear.fresh_line rng p in
+  let w = Wear.create rng p 1 in
   let rec drive n =
     if n > 100_000 then Alcotest.fail "line never failed"
     else
-      match Wear.write rng p l with
+      match Wear.write rng p w 0 with
       | Wear.Failed -> n
       | Wear.Ok | Wear.Corrected -> drive (n + 1)
   in
@@ -68,7 +68,7 @@ let test_wear_exhaustion () =
          | Wear.Corrected -> Fmt.string ppf "Corrected"
          | Wear.Failed -> Fmt.string ppf "Failed")
        ( = ))
-    "failed stays failed" Wear.Failed (Wear.write rng p l)
+    "failed stays failed" Wear.Failed (Wear.write rng p w 0)
 
 let test_wear_ecp_extends_life () =
   (* with ECP entries a line must survive at least its base endurance *)
@@ -77,20 +77,31 @@ let test_wear_ecp_extends_life () =
   let with_ecp = { base with Wear.ecp_entries = 6 } in
   let count params seed =
     let rng2 = Xrng.of_seed seed in
-    let l = Wear.fresh_line rng2 params in
+    let w = Wear.create rng2 params 1 in
     let rec go n =
-      match Wear.write rng params l with Wear.Failed -> n | _ -> go (n + 1)
+      match Wear.write rng params w 0 with Wear.Failed -> n | _ -> go (n + 1)
     in
     go 0
   in
   let no_ecp = count base 7 and ecp = count with_ecp 7 in
   Alcotest.(check bool) "ECP extends lifetime" true (ecp > no_ecp)
 
+(* ECP entries are consumed one per correction, and a line fails only
+   once all of them are spent *)
 let test_wear_utilization () =
   let rng = Xrng.of_seed 3 in
-  let p = Wear.fast_params in
-  let l = Wear.fresh_line rng p in
-  check (Alcotest.float 1e-9) "fresh line unused ECP" 0.0 (Wear.ecp_utilization p l)
+  let p = { Wear.fast_params with Wear.mean_endurance = 40.0 } in
+  let w = Wear.create rng p 4 in
+  check Alcotest.int "fresh line unused ECP" 0 w.Wear.ecp_used.(2);
+  let corrections = ref 0 in
+  while not (Wear.is_failed w 2) do
+    match Wear.write rng p w 2 with
+    | Wear.Corrected -> incr corrections
+    | Wear.Ok | Wear.Failed -> ()
+  done;
+  check Alcotest.int "one entry per correction" !corrections w.Wear.ecp_used.(2);
+  check Alcotest.int "all entries spent at failure" p.Wear.ecp_entries w.Wear.ecp_used.(2);
+  check Alcotest.int "other lines untouched" 0 (w.Wear.writes.(1) + w.Wear.writes.(3))
 
 (* ------------------------- Failure buffer ------------------------- *)
 
